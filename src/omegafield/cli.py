@@ -23,10 +23,12 @@ from .integers import R1Point
 from .integration import PolynomialFn, discrete_integral, riemann
 from .lifting import D_to_d_table, d_to_D_table
 from .rationals import format_rational, format_rational_json
-from .series import DEFAULT_DEPTH, expand_rational
+from .series import DEFAULT_DEPTH, expand_rational, resolve_depth
 
 
-def _env_depth() -> int:
+def _depth(args) -> int:
+    if args.depth is not None:
+        return resolve_depth(args.depth, "--depth")
     raw = os.environ.get("OMEGA_DEPTH")
     if raw is None:
         return DEFAULT_DEPTH
@@ -34,9 +36,7 @@ def _env_depth() -> int:
         value = int(raw)
     except ValueError:
         raise MathDomainError(f"OMEGA_DEPTH must be an integer, got {raw!r}")
-    if value < 0:
-        raise MathDomainError("OMEGA_DEPTH must be non-negative")
-    return value
+    return resolve_depth(value, "OMEGA_DEPTH")
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -238,10 +238,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        depth = args.depth if args.depth is not None else _env_depth()
-        if depth < 0:
-            raise MathDomainError("--depth must be non-negative")
-        return _COMMANDS[args.command](args, depth)
+        return _COMMANDS[args.command](args, _depth(args))
     except ExprSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -175,6 +175,9 @@ class AlephNumber:
         return self._coeffs == other._coeffs
 
     def __hash__(self):
+        # A standard integer equals its int, so it hashes as one.
+        if self.is_standard:
+            return hash(self._coeffs[0])
         return hash(self._coeffs)
 
     def __str__(self):
@@ -320,6 +323,20 @@ def integer_truncation(value: OmegaNumber) -> AlephNumber:
     and is decremented.  Requires value >= 0 with its sign and
     non-negative-exponent coefficients known.
     """
+    candidate = _truncation_candidate(value)
+    try:
+        relation = value.compare(embed(candidate))
+    except IndistinguishableError as exc:
+        raise PrecisionExhaustedError(
+            "fractional remainder is not resolvable at this precision"
+        ) from exc
+    if relation is ComparisonResult.LT:
+        candidate = predecessor(candidate)
+    return candidate
+
+
+def _truncation_candidate(value: OmegaNumber) -> AlephNumber:
+    # The positive-degree part of value plus its floored constant term.
     try:
         sign = value.sign()
     except IndistinguishableError as exc:
@@ -342,16 +359,7 @@ def integer_truncation(value: OmegaNumber) -> AlephNumber:
     for e, c in upper:
         coeffs[e] = c
     coeffs[0] = Fraction(constant.numerator // constant.denominator)
-    candidate = AlephNumber(coeffs)
-    try:
-        relation = value.compare(embed(candidate))
-    except IndistinguishableError as exc:
-        raise PrecisionExhaustedError(
-            "fractional remainder is not resolvable at this precision"
-        ) from exc
-    if relation is ComparisonResult.LT:
-        candidate = predecessor(candidate)
-    return candidate
+    return AlephNumber(coeffs)
 
 
 def archimedean_witness(a: OmegaNumber, b: OmegaNumber) -> AlephNumber:
@@ -359,11 +367,18 @@ def archimedean_witness(a: OmegaNumber, b: OmegaNumber) -> AlephNumber:
 
     Obtained as the integer truncation of |b| / a: some multiple of the
     denominator always overtakes the numerator, whatever their orders of
-    magnitude.
+    magnitude.  When a and b are exact and |b| / a is exactly an infinite
+    integer, the truncated quotient agrees with it on every known
+    coefficient, so truncation alone cannot settle it; the candidate read
+    off the quotient is then confirmed by multiplying back.
     """
     if a.sign() <= 0:
         raise MathDomainError("witness requires a positive denominator")
     if b.is_zero:
         return ALEPH_ZERO
     quotient = abs(b) * a.invert()
+    if a.is_exact and b.is_exact:
+        candidate = _truncation_candidate(quotient)
+        if embed(candidate) * a == abs(b):
+            return candidate
     return integer_truncation(quotient)

@@ -27,7 +27,7 @@ from .rationals import (
     format_rational_json,
     rational_pow,
 )
-from .series import DEFAULT_DEPTH, OmegaNumber, ZERO, o as O_UNIT
+from .series import OmegaNumber, ZERO, o as O_UNIT, resolve_depth
 
 __all__ = [
     "LiftedFunction",
@@ -103,7 +103,7 @@ def lift_eval(f: LiftedFunction, x: OmegaNumber, depth: "int | None" = None) -> 
     oracle terminates within the depth and the tail of x is exact,
     truncated at floor -depth otherwise.
     """
-    depth = DEFAULT_DEPTH if depth is None else depth
+    depth = resolve_depth(depth)
     x = OmegaNumber._coerce(x)
     x._guard_series_in_o()
     t = x.standard_part()
@@ -179,7 +179,7 @@ def ns_diff_check(
     vanish to order at least 2 * ord(h); a remainder that is zero down to
     the working depth counts as passing.
     """
-    depth = DEFAULT_DEPTH if depth is None else depth
+    depth = resolve_depth(depth)
     h = OmegaNumber._coerce(h)
     if not (h.is_exact and not h.is_zero and h.is_infinitesimal):
         raise MathDomainError("step must be a nonzero exact infinitesimal")

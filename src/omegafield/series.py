@@ -36,6 +36,21 @@ from .rationals import as_rational, format_rational, format_rational_json, ratio
 #: Default number of infinitesimal orders carried by truncating operations.
 DEFAULT_DEPTH = 16
 
+
+def resolve_depth(depth: "int | None", name: str = "depth") -> int:
+    """The working depth: ``DEFAULT_DEPTH`` for None, else ``depth`` itself.
+
+    A negative depth would put the floor above the standard part and
+    silently drop it, so it raises MathDomainError; ``name`` is the
+    setting the message blames.
+    """
+    if depth is None:
+        return DEFAULT_DEPTH
+    if depth < 0:
+        raise MathDomainError(f"{name} must be non-negative")
+    return depth
+
+
 RationalLike = Union[int, Fraction, str]
 EntryLike = Union[Mapping[int, RationalLike], Iterable[tuple]]
 
@@ -334,6 +349,9 @@ class OmegaNumber:
         return self._coeffs == other._coeffs and self._floor == other._floor
 
     def __hash__(self):
+        # An exact standard value equals its rational, so it hashes as one.
+        if self.is_standard:
+            return hash(self._coeffs.get(0, Fraction(0)))
         return hash((frozenset(self._coeffs.items()), self._floor))
 
     def agrees_with(self, other) -> bool:
@@ -404,25 +422,29 @@ class OmegaNumber:
     def invert(self, depth: "int | None" = None) -> "OmegaNumber":
         """Multiplicative inverse.
 
-        For a leading term a*S**N the inverse starts at S**-N and is
-        produced by the geometric series in the normalized tail.  A
-        truncated input known down to exponent f yields an inverse exact
-        down to f - 2N; an exact input with a non-terminating inverse is
-        carried to ``depth`` infinitesimal orders below the leading term.
+        For a leading term a*S**N the inverse is S**-N / a times
+        (1 + u)**-1 for the normalized tail u, whose coefficients come from
+        J.C.P. Miller's recurrence (here b_n = -sum of u_k * b_{n-k}) in
+        O(depth * terms) rational operations.  A truncated input known
+        down to exponent f yields an inverse exact down to f - 2N; an
+        exact input with a non-terminating inverse is carried to ``depth``
+        infinitesimal orders below the leading term.
         """
         if self.is_zero:
             raise DivisionByZeroError("division by zero")
         return self.pow_alpha(Fraction(-1), depth)
 
     def pow_alpha(self, alpha, depth: "int | None" = None) -> "OmegaNumber":
-        """Rational power via the binomial series on the normalized tail.
+        """Rational power: lead**alpha times (1 + u)**alpha for the
+        normalized tail u, by J.C.P. Miller's recurrence in O(depth * terms)
+        rational operations (see ``_binomial_series``).
 
         Requires alpha * top to be an integer (no series has a fractional
         leading exponent) and, for non-integer alpha, a positive leading
         coefficient with an exact rational root.
         """
         alpha = as_rational(alpha)
-        depth = DEFAULT_DEPTH if depth is None else depth
+        depth = resolve_depth(depth)
         if self.is_zero:
             raise MathDomainError("power of the zero element")
         if self.is_truncated_zero:
@@ -507,7 +529,16 @@ def _exponent_symbol(e: int):
 
 
 def _binomial_series(u: OmegaNumber, alpha: Fraction, depth: int) -> OmegaNumber:
-    """sum of C(alpha, k) * u**k for an infinitesimal tail u."""
+    """(1 + u)**alpha for an infinitesimal tail u, by J.C.P. Miller's recurrence.
+
+    With u = sum of u_k * o**k (k >= 1), the coefficient b_n of o**n obeys
+    b_0 = 1 and n * b_n = sum of ((alpha + 1) * k - n) * u_k * b_{n-k} over
+    k = 1..n (Knuth, TAOCP vol. 2, section 4.7).  Order n costs one step per known
+    nonzero u_k with k <= n, so the series to ``count`` orders costs
+    O(count * terms) rational operations.  Since b_n reads only u_1..u_n
+    and n never passes the result's floor, a truncated tail is never read
+    below its own floor.
+    """
     if not u.is_infinitesimal:
         raise MathDomainError("binomial series requires an infinitesimal tail")
     if u.is_zero:
@@ -520,18 +551,21 @@ def _binomial_series(u: OmegaNumber, alpha: Fraction, depth: int) -> OmegaNumber
         terminating = False
     count = -floor_g
     if terminating and alpha <= count:
-        count = int(alpha)
-        floor_g = None  # finite binomial expansion of an exact tail
-    from .coefficients import binomial_general
-
-    total = ONE
-    u_power = ONE
-    for k in range(1, count + 1):
-        u_power = (u_power * u)._refloor(floor_g)
-        coeff = binomial_general(alpha, k)
-        if coeff != 0:
-            total = total + u_power * OmegaNumber.single(0, coeff)
-    return total._refloor(floor_g)
+        # (1 + u)**alpha is a polynomial of degree alpha * (lowest order of u).
+        count = int(alpha) * -min(u._coeffs)
+        floor_g = None
+    terms = sorted((-e, v) for e, v in u._coeffs.items())
+    scale = alpha + 1
+    b = [Fraction(1)]
+    for n in range(1, count + 1):
+        acc = Fraction(0)
+        for k, v in terms:
+            if k > n:
+                break
+            if b[n - k]:
+                acc += (scale * k - n) * v * b[n - k]
+        b.append(acc / n)
+    return OmegaNumber._build({-n: c for n, c in enumerate(b)}, floor_g)
 
 
 #: Exact constants: zero, one, the infinite unit S and the infinitesimal o.
@@ -558,7 +592,7 @@ def expand_rational(
     infinite part.  Terminating divisions come back exact; everything
     else is carried to ``depth`` orders.
     """
-    depth = DEFAULT_DEPTH if depth is None else depth
+    depth = resolve_depth(depth)
     den = [as_rational(c) for c in denominator]
     num = [as_rational(c) for c in numerator]
     shift = next((i for i, c in enumerate(den) if c != 0), None)
@@ -590,19 +624,24 @@ def cauchy_limit(
 ) -> OmegaNumber:
     """Limit of a coefficientwise-stabilizing sequence.
 
-    For every exponent down to -depth the sequence must hold a constant,
-    known coefficient over ``window`` consecutive indices somewhere
-    within the budget; the limit collects those stabilized coefficients
-    and carries floor -depth.  Failure to stabilize raises NotCauchyError.
+    For every exponent down to the limit's floor the sequence must hold a
+    constant, known coefficient over the last ``window`` indices of the
+    budget; the limit collects those stabilized coefficients.  Its floor
+    is -depth, raised to the highest floor among those last ``window``
+    elements, since nothing below that is known in all of them.  Failure
+    to stabilize raises NotCauchyError.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
     if max_index < window - 1:
         raise ValueError("max_index leaves no room for a full window")
-    depth = DEFAULT_DEPTH if depth is None else depth
+    depth = resolve_depth(depth)
     elements = [seq(n) for n in range(max_index + 1)]
+    floor = max(
+        [-depth] + [x.floor for x in elements[-window:] if x.floor is not None]
+    )
     exponents = {
-        e for element in elements for e in element.support if e >= -depth
+        e for element in elements for e in element.support if e >= floor
     }
     entries: dict = {}
     for e in sorted(exponents, reverse=True):
@@ -622,4 +661,4 @@ def cauchy_limit(
             )
         if final != 0:
             entries[e] = final
-    return OmegaNumber._build(entries, -depth)
+    return OmegaNumber._build(entries, floor)

@@ -50,6 +50,13 @@ class TestEval:
         assert code == 0
         assert out.strip().endswith("[floor=-3]")
 
+    def test_negative_depth_messages(self, capsys, monkeypatch):
+        code, _, err = run_cli(capsys, "eval", "inv(1+o)", "--depth", "-1")
+        assert (code, err) == (3, "error: --depth must be non-negative\n")
+        monkeypatch.setenv("OMEGA_DEPTH", "-1")
+        code, _, err = run_cli(capsys, "eval", "inv(1+o)")
+        assert (code, err) == (3, "error: OMEGA_DEPTH must be non-negative\n")
+
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("OMEGA_DEPTH", "9")
         code, out, _ = run_cli(capsys, "eval", "inv(1+o)", "--depth", "2")

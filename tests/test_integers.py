@@ -311,12 +311,32 @@ class TestArchimedeanWitness:
         with pytest.raises(MathDomainError):
             archimedean_witness(-o, ONE)
 
+    def test_exact_infinite_integer_quotient(self):
+        # |b| / a = S^2 - 2S exactly; the truncated quotient agrees with
+        # it on every known coefficient, so truncation alone cannot
+        # settle it.
+        a = o + o * o
+        b = S - 1 - 2 * o
+        witness = archimedean_witness(a, b)
+        assert witness == AlephNumber((0, -2, 1))
+        assert embed(witness) * a == abs(b)
+        assert (embed(successor(witness)) * a).compare(abs(b)) is GT
+
     def test_randomized_domination(self, rng):
         for _ in range(100):
             a = abs(random_omega(rng, lo=-3, hi=3))
             b = random_omega(rng, lo=-3, hi=3)
             witness = archimedean_witness(a, b)
             assert (embed(successor(witness)) * a).compare(abs(b)) is GT
+
+
+class TestAlephHash:
+    def test_standard_integer_hashes_as_its_int(self):
+        assert 3 in {AlephNumber.from_int(3)}
+        assert len({ALEPH_ZERO, 0}) == 1
+
+    def test_infinite_integer_hashes_by_coefficients(self):
+        assert SIGMA in {AlephNumber((0, 1))}
 
 
 class TestAlephJson:

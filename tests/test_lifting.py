@@ -78,6 +78,11 @@ class TestLiftEval:
         with pytest.raises(MathDomainError):
             lift_eval(f, S, 4)
 
+    def test_negative_depth_rejected(self):
+        # A floor of +2 would silently drop the standard part.
+        with pytest.raises(MathDomainError, match="depth must be non-negative"):
+            lift_eval(polynomial_fn([1, 1]), ONE + o, -2)
+
     def test_truncated_argument_floor_propagates(self):
         f = polynomial_fn([0, 0, 1])
         x = ONE + OmegaNumber([(-1, 1)], floor=-2)

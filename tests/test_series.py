@@ -255,6 +255,11 @@ class TestInvert:
     def test_truediv(self):
         assert (ONE / (ONE + o)).coefficient(-1) == -1
 
+    def test_negative_depth_rejected(self):
+        # A floor of +3 would silently drop the standard part: 0 [floor=3].
+        with pytest.raises(MathDomainError, match="depth must be non-negative"):
+            (ONE + o).invert(-3)
+
 
 class TestPowAlpha:
     def test_square_root_series(self):
@@ -321,6 +326,11 @@ class TestExpandRational:
         x = expand_rational([1], [0, 0, 1], 4)
         assert x == OmegaNumber.single(2, 1)
 
+    def test_negative_depth_rejected(self):
+        # A floor of +2 would silently drop the standard part: 0 [floor=2].
+        with pytest.raises(MathDomainError, match="depth must be non-negative"):
+            expand_rational([1], [1, 1], -2)
+
 
 class TestCauchyLimit:
     def test_partial_sums_of_geometric(self):
@@ -359,6 +369,38 @@ class TestCauchyLimit:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             cauchy_limit(lambda n: ONE, window=0, max_index=5, depth=2)
+
+    def test_floor_never_below_the_elements(self):
+        # A floor of -16 would claim eleven zeros that nothing computed.
+        limit = cauchy_limit(
+            lambda n: OmegaNumber([(0, 1)], floor=-5),
+            window=2,
+            max_index=5,
+            depth=16,
+        )
+        assert limit == OmegaNumber([(0, 1)], floor=-5)
+
+    def test_floor_follows_the_final_window(self):
+        # Only the last ``window`` elements vouch for the limit: an early
+        # exact element does not lower its floor, and a coefficient that
+        # element has below that floor is not checked.
+        elements = [ONE + OmegaNumber.single(-9, 1)] + [
+            OmegaNumber([(0, 1), (-1, 2)], floor=-4 - n) for n in range(1, 6)
+        ]
+        limit = cauchy_limit(elements.__getitem__, window=3, max_index=5, depth=16)
+        assert limit == OmegaNumber([(0, 1), (-1, 2)], floor=-7)
+
+
+class TestHash:
+    def test_standard_value_hashes_as_its_rational(self):
+        assert 1 in {ONE}
+        assert 0 in {ZERO}
+        assert Fraction(-2, 3) in {omega("-2/3")}
+        assert len({ONE, 1, Fraction(1)}) == 1
+
+    def test_equal_values_hash_alike(self):
+        x = OmegaNumber([(0, 1), (-2, 3)], floor=-4)
+        assert hash(x) == hash(OmegaNumber([(-2, 3), (0, 1)], floor=-4))
 
 
 class TestAlgebraicInvariants:
