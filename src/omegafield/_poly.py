@@ -1,0 +1,55 @@
+"""Dense polynomials with exact rational coefficients.
+
+A polynomial is a list of Fractions, constant term first, with trailing
+zeros stripped; the zero polynomial is ``[0]``.  Infinite integers,
+integrands and the polynomial and rational lifts all keep their
+coefficients in this one format.
+"""
+
+from fractions import Fraction
+from math import perm
+
+from .rationals import as_rational
+
+
+def normalize(coeffs) -> list:
+    """Exact rationals with trailing zeros stripped; ``[0]`` for zero."""
+    values = [as_rational(c) for c in coeffs] or [Fraction(0)]
+    while len(values) > 1 and values[-1] == 0:
+        values.pop()
+    return values
+
+
+def add(a, b) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return normalize(out)
+
+
+def scale(a, factor) -> list:
+    return normalize([factor * c for c in a])
+
+
+def mul(a, b) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return normalize(out)
+
+
+def derive(a, k: int = 1) -> list:
+    """The k-th derivative."""
+    return [perm(i, k) * a[i] for i in range(k, len(a))] or [Fraction(0)]
+
+
+def evaluate(a, t, zero=Fraction(0)):
+    """Horner's scheme at t, a Fraction or a series value; ``zero`` is the
+    additive identity of t's type, so a constant comes back as that type."""
+    total = zero
+    for c in reversed(a):
+        total = total * t + c
+    return total

@@ -161,6 +161,8 @@ class _Parser:
             if token.kind != "int":
                 raise ExprSyntaxError("expected a denominator", token.position)
             self.advance()
+            if int(token.text) == 0:
+                raise ExprSyntaxError("zero denominator", token.position)
             return Fraction(numerator, int(token.text))
         return Fraction(numerator)
 
@@ -208,41 +210,52 @@ class _Parser:
 
 
 def parse(source: str) -> Expression:
-    """Parse expression text into an AST; raises ExprSyntaxError."""
-    return _Parser(source).parse()
+    """Parse expression text into an AST; raises ExprSyntaxError, also
+    for nesting deeper than Python's recursion limit lets it follow."""
+    try:
+        return _Parser(source).parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", 1) from None
 
 
 def evaluate(node: Expression, depth: Optional[int] = None) -> OmegaNumber:
     """Evaluate an AST at the given working depth."""
+    try:
+        return _evaluate(node, depth)
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", 1) from None
+
+
+def _evaluate(node: Expression, depth: Optional[int]) -> OmegaNumber:
     op = node.op
     if op == "num":
         return OmegaNumber.from_rational(node.args[0])
     if op == "sym":
         return o if node.args[0] == "o" else S
     if op == "add":
-        return evaluate(node.args[0], depth) + evaluate(node.args[1], depth)
+        return _evaluate(node.args[0], depth) + _evaluate(node.args[1], depth)
     if op == "sub":
-        return evaluate(node.args[0], depth) - evaluate(node.args[1], depth)
+        return _evaluate(node.args[0], depth) - _evaluate(node.args[1], depth)
     if op == "mul":
-        return evaluate(node.args[0], depth) * evaluate(node.args[1], depth)
+        return _evaluate(node.args[0], depth) * _evaluate(node.args[1], depth)
     if op == "div":
-        return evaluate(node.args[0], depth) * evaluate(
+        return _evaluate(node.args[0], depth) * _evaluate(
             node.args[1], depth
         ).invert(depth)
     if op == "neg":
-        return -evaluate(node.args[0], depth)
+        return -_evaluate(node.args[0], depth)
     if op == "ipow":
-        base = evaluate(node.args[0], depth)
+        base = _evaluate(node.args[0], depth)
         n = node.args[1]
         if n < 0:
             return base.invert(depth) ** (-n)
         return base**n
     if op == "inv":
-        return evaluate(node.args[0], depth).invert(depth)
+        return _evaluate(node.args[0], depth).invert(depth)
     if op == "sqrt":
-        return evaluate(node.args[0], depth).pow_alpha(Fraction(1, 2), depth)
+        return _evaluate(node.args[0], depth).pow_alpha(Fraction(1, 2), depth)
     if op == "pow":
-        return evaluate(node.args[0], depth).pow_alpha(node.args[1], depth)
+        return _evaluate(node.args[0], depth).pow_alpha(node.args[1], depth)
     if op == "trunc":
-        return evaluate(node.args[0], depth).truncate(node.args[1])
+        return _evaluate(node.args[0], depth).truncate(node.args[1])
     raise ValueError(f"unknown operation {op!r}")

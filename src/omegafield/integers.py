@@ -17,12 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import _poly
 from .errors import (
     IndistinguishableError,
     MathDomainError,
     PrecisionExhaustedError,
 )
-from .rationals import as_rational, format_rational, format_rational_json
+from .rationals import as_rational, format_rational_json
 from .series import ComparisonResult, OmegaNumber
 
 __all__ = [
@@ -126,9 +127,7 @@ class AlephNumber:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Sequence = (0,)):
-        values = [as_rational(c) for c in coeffs] or [Fraction(0)]
-        while len(values) > 1 and values[-1] == 0:
-            values.pop()
+        values = _poly.normalize(coeffs)
         if len(values) == 1:
             if values[0].denominator != 1 or values[0] < 0:
                 raise MathDomainError(
@@ -255,21 +254,12 @@ def predecessor(number: AlephNumber) -> AlephNumber:
 
 def oplus(left: AlephNumber, right: AlephNumber) -> AlephNumber:
     """Closed-form sum: coefficientwise polynomial addition."""
-    size = max(len(left.coeffs), len(right.coeffs))
-    return AlephNumber(
-        [left.coefficient(i) + right.coefficient(i) for i in range(size)]
-    )
+    return AlephNumber(_poly.add(left.coeffs, right.coeffs))
 
 
 def otimes(left: AlephNumber, right: AlephNumber) -> AlephNumber:
     """Closed-form product: polynomial multiplication."""
-    if left == ALEPH_ZERO or right == ALEPH_ZERO:
-        return ALEPH_ZERO
-    out = [Fraction(0)] * (left.degree + right.degree + 1)
-    for i, a in enumerate(left.coeffs):
-        for j, b in enumerate(right.coeffs):
-            out[i + j] += a * b
-    return AlephNumber(out)
+    return AlephNumber(_poly.mul(left.coeffs, right.coeffs))
 
 
 def oplus_inductive(number: AlephNumber, steps: int) -> AlephNumber:
@@ -299,12 +289,7 @@ def otimes_inductive(number: AlephNumber, factor: int) -> AlephNumber:
 
 def compare_aleph(left: AlephNumber, right: AlephNumber) -> ComparisonResult:
     """Lexicographic comparison from the top degree downward."""
-    size = max(len(left.coeffs), len(right.coeffs))
-    for i in range(size - 1, -1, -1):
-        a, b = left.coefficient(i), right.coefficient(i)
-        if a != b:
-            return ComparisonResult.GT if a > b else ComparisonResult.LT
-    return ComparisonResult.EQ
+    return embed(left).compare(embed(right))
 
 
 def embed(number: AlephNumber) -> OmegaNumber:
@@ -349,16 +334,9 @@ def _truncation_candidate(value: OmegaNumber) -> AlephNumber:
         raise PrecisionExhaustedError(
             "constant coefficient of the value is unknown"
         )
-    constant = value.coefficient(0)
-    upper = [
-        (e, value.coefficient(e))
-        for e in value.support
-        if e > 0
-    ]
-    coeffs = [Fraction(0)] * (1 + max((e for e, _ in upper), default=0))
-    for e, c in upper:
-        coeffs[e] = c
-    coeffs[0] = Fraction(constant.numerator // constant.denominator)
+    top = max(value.support + (0,))
+    coeffs = [value.coefficient(e) for e in range(top + 1)]
+    coeffs[0] = Fraction(coeffs[0].numerator // coeffs[0].denominator)
     return AlephNumber(coeffs)
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
+from . import _poly
 from .coefficients import bernoulli
 from .errors import MathDomainError
 from .rationals import as_rational
@@ -40,9 +41,7 @@ class PolynomialFn:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Sequence, degree_bound: "int | None" = DEFAULT_DEGREE_BOUND):
-        values = [as_rational(c) for c in coeffs] or [Fraction(0)]
-        while len(values) > 1 and values[-1] == 0:
-            values.pop()
+        values = _poly.normalize(coeffs)
         if degree_bound is not None and len(values) - 1 > degree_bound:
             raise MathDomainError(
                 f"degree {len(values) - 1} exceeds the bound {degree_bound}"
@@ -58,18 +57,11 @@ class PolynomialFn:
         return len(self._coeffs) - 1
 
     def __call__(self, t):
-        t = as_rational(t)
-        total = Fraction(0)
-        for c in reversed(self._coeffs):
-            total = total * t + c
-        return total
+        return _poly.evaluate(self._coeffs, as_rational(t))
 
     def eval_series(self, x: OmegaNumber) -> OmegaNumber:
         """Exact evaluation at a series value, by Horner's scheme."""
-        total = ZERO
-        for c in reversed(self._coeffs):
-            total = total * x + OmegaNumber.single(0, c)
-        return total
+        return _poly.evaluate(self._coeffs, x, ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, PolynomialFn):
@@ -122,10 +114,7 @@ def discrete_integral(
 def riemann(f: PolynomialFn, t) -> Fraction:
     """Exact antiderivative of f evaluated from 0 to t."""
     t = as_rational(t)
-    total = Fraction(0)
-    for j, a in enumerate(f.coeffs):
-        total += a * t ** (j + 1) / (j + 1)
-    return total
+    return t * _poly.evaluate([a / (j + 1) for j, a in enumerate(f.coeffs)], t)
 
 
 def difference_equation_check(f: PolynomialFn, x1: R1Point, g0=Fraction(0)) -> bool:

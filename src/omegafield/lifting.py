@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Optional, Sequence
 
+from . import _poly
 from .coefficients import k_coeff, x_coeff
 from .errors import MathDomainError
 from .rationals import (
@@ -295,41 +296,13 @@ def D_to_d_table(max_order: int) -> CoeffTable:
 
 def polynomial_fn(coeffs: Sequence) -> LiftedFunction:
     """Exact polynomial with the given ascending coefficients."""
-    values = [as_rational(c) for c in coeffs] or [Fraction(0)]
-    while len(values) > 1 and values[-1] == 0:
-        values.pop()
-    deg = len(values) - 1
+    values = _poly.normalize(coeffs)
 
     def oracle(k: int, t: Fraction) -> Fraction:
-        total = Fraction(0)
-        for i in range(k, deg + 1):
-            stepdown = values[i] * Fraction(
-                factorial(i), factorial(i - k)
-            )
-            total += stepdown * t ** (i - k)
-        return total
+        return _poly.evaluate(_poly.derive(values, k), t)
 
     label = "poly(" + ",".join(str(v) for v in values) + ")"
-    return LiftedFunction(oracle=oracle, degree=deg, label=label)
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_derive(a):
-    return [i * c for i, c in enumerate(a)][1:] or [Fraction(0)]
-
-
-def _poly_eval(a, t):
-    total = Fraction(0)
-    for c in reversed(a):
-        total = total * t + c
-    return total
+    return LiftedFunction(oracle=oracle, degree=len(values) - 1, label=label)
 
 
 def rational_fn(num: Sequence, den: Sequence) -> LiftedFunction:
@@ -338,43 +311,33 @@ def rational_fn(num: Sequence, den: Sequence) -> LiftedFunction:
     The k-th derivative is maintained as N_k / Q**(k+1) via the quotient
     rule N_{k+1} = N_k' Q - (k+1) N_k Q'; numerators are cached.
     """
-    p = [as_rational(c) for c in num] or [Fraction(0)]
-    q = [as_rational(c) for c in den] or [Fraction(0)]
-    if not any(q):
+    p = _poly.normalize(num)
+    q = _poly.normalize(den)
+    if q == [0]:
         raise MathDomainError("zero denominator polynomial")
-    q_prime = _poly_derive(q)
+    q_prime = _poly.derive(q)
     numerators = [p]
 
     def numerator(k: int):
         while len(numerators) <= k:
             index = len(numerators) - 1
             n_k = numerators[index]
-            nxt = [
-                a - b
-                for a, b in _pad(
-                    _poly_mul(_poly_derive(n_k), q),
-                    _poly_mul([(index + 1) * c for c in n_k], q_prime),
+            numerators.append(
+                _poly.add(
+                    _poly.mul(_poly.derive(n_k), q),
+                    _poly.scale(_poly.mul(n_k, q_prime), -(index + 1)),
                 )
-            ]
-            numerators.append(nxt)
+            )
         return numerators[k]
 
     def oracle(k: int, t: Fraction) -> Fraction:
-        q_val = _poly_eval(q, t)
-        return _poly_eval(numerator(k), t) / q_val ** (k + 1)
+        return _poly.evaluate(numerator(k), t) / _poly.evaluate(q, t) ** (k + 1)
 
     return LiftedFunction(
         oracle=oracle,
-        domain=lambda t: _poly_eval(q, t) != 0,
+        domain=lambda t: _poly.evaluate(q, t) != 0,
         label="rational",
     )
-
-
-def _pad(a, b):
-    size = max(len(a), len(b))
-    a = a + [Fraction(0)] * (size - len(a))
-    b = b + [Fraction(0)] * (size - len(b))
-    return zip(a, b)
 
 
 def power_fn(

@@ -36,6 +36,28 @@ class TestEval:
         assert code == 2
         assert "column 5" in err
 
+    def test_zero_denominator_literal(self, capsys):
+        code, _, err = run_cli(capsys, "eval", "pow(1+o, 1/0)")
+        assert (code, err) == (2, "error: zero denominator at column 12\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["(" * 200 + "1" + ")" * 200],
+            ["--", "-" * 3000 + "1"],
+            ["+".join(["1"] * 5000)],  # parses; too deep to evaluate
+        ],
+        ids=["parentheses", "unary-minus", "long-sum"],
+    )
+    def test_deep_nesting_exit_code(self, capsys, argv):
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: expression nested too deeply at column 1\n"
+
+    def test_moderate_nesting_evaluates(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "(" * 50 + "1+o" + ")" * 50)
+        assert (code, out) == (0, "1 + o\n")
+
     def test_json_output_round_trips(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "sqrt(1+o)", "--depth", "2", "--json")
         assert code == 0

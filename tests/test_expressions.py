@@ -53,6 +53,11 @@ class TestParse:
         with pytest.raises(ExprSyntaxError):
             parse("pow(1+o, o)")
 
+    def test_zero_denominator_literal(self):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse("pow(1+o, 1/0)")
+        assert info.value.position == 12
+
     def test_caret_requires_integer_literal(self):
         parse("o^3")
         parse("S^-2")
