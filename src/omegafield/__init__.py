@@ -90,7 +90,7 @@ from .lifting import (
     rational_fn,
     sin_fn,
 )
-from .rationals import Rational, as_rational, rational_pow
+from .rationals import as_rational, rational_pow
 from .series import (
     DEFAULT_DEPTH,
     ONE,

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .coefficients import k_coeff, x_coeff
-from .errors import ExprSyntaxError, MathDomainError, OmegaError, PrecisionError
+from .errors import MathDomainError, OmegaError
 from .expressions import evaluate, parse
 from .integers import R1Point
 from .integration import PolynomialFn, discrete_integral, riemann
@@ -239,18 +239,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, _depth(args))
-    except ExprSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PrecisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except MathDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except OmegaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 def run() -> None:

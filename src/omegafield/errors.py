@@ -3,12 +3,15 @@
 Two error families matter to callers: mathematical domain violations
 (division by zero, invalid exponents, membership failures) and precision
 failures (a truncated value does not carry enough known coefficients to
-answer the question).  The CLI maps them to distinct exit codes.
+answer the question).  Each class carries the CLI exit code it maps to
+as ``exit_code``.
 """
 
 
 class OmegaError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 3
 
 
 class MathDomainError(OmegaError):
@@ -38,6 +41,8 @@ class IrrationalLeadingCoefficientError(MathDomainError):
 class PrecisionError(OmegaError):
     """Known coefficients are insufficient to decide (CLI exit code 4)."""
 
+    exit_code = 4
+
 
 class PrecisionExhaustedError(PrecisionError):
     """A required coefficient lies below a value's precision floor."""
@@ -55,6 +60,8 @@ class NotCauchyError(PrecisionError):
 
 class ExprSyntaxError(OmegaError):
     """Malformed expression text (CLI exit code 2)."""
+
+    exit_code = 2
 
     def __init__(self, message, position):
         super().__init__(f"{message} at column {position}")

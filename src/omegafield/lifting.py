@@ -21,7 +21,7 @@ from math import comb, factorial
 from typing import Callable, Optional, Sequence
 
 from . import _poly
-from .coefficients import k_coeff, x_coeff
+from .coefficients import binomial_general, k_coeff, x_coeff
 from .errors import MathDomainError
 from .rationals import (
     as_rational,
@@ -50,7 +50,8 @@ __all__ = [
     "cos_fn",
 ]
 
-DEFAULT_DECIMAL_DIGITS = 50
+# Significant digits of the exp, log, sin and cos oracle values.
+DECIMAL_DIGITS = 50
 
 
 @dataclass(frozen=True)
@@ -58,17 +59,16 @@ class LiftedFunction:
     """Smooth function presented by its derivative oracle.
 
     ``oracle(k, t)`` returns the exact rational used for the k-th
-    derivative at the standard point t.  In decimal mode that rational is
-    the fixed-precision decimal approximation of a transcendental value,
-    converted exactly; everything downstream stays exact arithmetic on
-    it.  ``degree`` marks oracles that vanish beyond a finite order, so
-    polynomial lifts terminate and come back exact.
+    derivative at the standard point t.  For ``exp_fn``, ``log_fn``,
+    ``sin_fn`` and ``cos_fn`` that rational is a ``DECIMAL_DIGITS``-digit
+    decimal approximation of a transcendental value, converted exactly;
+    everything downstream stays exact arithmetic on it.  ``degree`` marks
+    oracles that vanish beyond a finite order, so polynomial lifts
+    terminate and come back exact.
     """
 
     oracle: Callable[[int, Fraction], Fraction]
     domain: Callable[[Fraction], bool] = field(default=lambda t: True)
-    mode: str = "exact"
-    digits: int = DEFAULT_DECIMAL_DIGITS
     degree: Optional[int] = None
     label: str = "f"
 
@@ -340,15 +340,12 @@ def rational_fn(num: Sequence, den: Sequence) -> LiftedFunction:
     )
 
 
-def power_fn(
-    alpha, mode: str = "exact", digits: int = DEFAULT_DECIMAL_DIGITS
-) -> LiftedFunction:
+def power_fn(alpha) -> LiftedFunction:
     """The power function t**alpha.
 
     Derivatives are falling-factorial multiples of t**(alpha-k).  For
-    non-integer alpha the domain is t > 0 and, in exact mode, t**(alpha-k)
-    must have an exact rational value; decimal mode approximates it at
-    the configured precision instead.
+    non-integer alpha the domain is t > 0 and t**(alpha-k) must have an
+    exact rational value.
     """
     alpha = as_rational(alpha)
     is_integer = alpha.denominator == 1
@@ -361,19 +358,9 @@ def power_fn(
         return t != 0 if is_integer else t > 0
 
     def oracle(k: int, t: Fraction) -> Fraction:
-        falling = Fraction(1)
-        for i in range(k):
-            falling *= alpha - i
-        if falling == 0:
-            return Fraction(0)
-        exponent = alpha - k
-        if mode == "exact":
-            return falling * rational_pow(t, exponent)
-        return falling * _decimal_power(t, exponent, digits)
+        return binomial_general(alpha, k) * factorial(k) * rational_pow(t, alpha - k)
 
-    return LiftedFunction(
-        oracle=oracle, domain=domain, mode=mode, digits=digits, label=f"t^{alpha}"
-    )
+    return LiftedFunction(oracle=oracle, domain=domain, label=f"t^{alpha}")
 
 
 # ----------------------------------------------------------------------
@@ -384,34 +371,48 @@ def power_fn(
 # converted to exact rationals before entering series arithmetic.
 
 
-def _to_decimal(t: Fraction, digits: int) -> Decimal:
+def _to_decimal(t: Fraction) -> Decimal:
     with localcontext() as ctx:
-        ctx.prec = digits + 10
+        ctx.prec = DECIMAL_DIGITS + 10
         return Decimal(t.numerator) / Decimal(t.denominator)
 
 
-def _decimal_power(t: Fraction, exponent: Fraction, digits: int) -> Fraction:
-    from .errors import IrrationalLeadingCoefficientError
-
-    try:
-        return rational_pow(t, exponent)
-    except IrrationalLeadingCoefficientError:
-        pass
+def _decimal_pi() -> Decimal:
+    """Pi at the current precision, by the ``decimal`` documentation's recipe."""
     with localcontext() as ctx:
-        ctx.prec = digits + 10
-        value = _to_decimal(t, digits)
-        result = (value.ln() * Decimal(exponent.numerator)
-                  / Decimal(exponent.denominator)).exp()
-        ctx.prec = digits
-        return Fraction(+result)
+        ctx.prec += 2
+        lasts, term, total, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+        while total != lasts:
+            lasts = total
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            term = (term * n) / d
+            total += term
+    return +total
 
 
-def _decimal_sin_cos(t: Fraction, digits: int):
+def _reduce_mod_2pi(t: Fraction) -> Decimal:
+    """t minus the nearest multiple of 2*pi, to about 62 digits after the point.
+
+    The multiple of 2*pi is as large as t, so the subtraction is carried
+    out with at least one extra digit per integer digit of t.
+    """
+    with localcontext() as ctx:
+        whole_digits = Decimal(t.numerator).adjusted() - Decimal(t.denominator).adjusted() + 2
+        ctx.prec = DECIMAL_DIGITS + 12 + whole_digits
+        x = Decimal(t.numerator) / Decimal(t.denominator)
+        two_pi = 2 * _decimal_pi()
+        return x - two_pi * (x / two_pi).to_integral_value()
+
+
+def _decimal_sin_cos(t: Fraction):
     # Taylor summation at extended precision, stopping once the partial
-    # sums stop moving at the working precision.
+    # sums stop moving at the working precision.  Beyond |t| = 3 the sum
+    # would cancel away about 0.43 digits per unit of |t|, so t is first
+    # reduced modulo 2*pi; below pi the nearest multiple of 2*pi is 0.
     with localcontext() as ctx:
-        ctx.prec = digits + 12
-        x = _to_decimal(t, digits)
+        ctx.prec = DECIMAL_DIGITS + 12
+        x = _to_decimal(t) if abs(t) <= 3 else _reduce_mod_2pi(t)
         xx = x * x
 
         i, last, sin_acc, fact, num, sign = 1, 0, x, 1, x, 1
@@ -432,24 +433,22 @@ def _decimal_sin_cos(t: Fraction, digits: int):
             sign *= -1
             cos_acc += num / fact * sign
 
-        ctx.prec = digits
+        ctx.prec = DECIMAL_DIGITS
         return +sin_acc, +cos_acc
 
 
-def exp_fn(digits: int = DEFAULT_DECIMAL_DIGITS) -> LiftedFunction:
+def exp_fn() -> LiftedFunction:
     """Exponential; every derivative is the function itself."""
 
     def oracle(k: int, t: Fraction) -> Fraction:
-        if t == 0:
-            return Fraction(1)
         with localcontext() as ctx:
-            ctx.prec = digits
-            return Fraction(_to_decimal(t, digits).exp())
+            ctx.prec = DECIMAL_DIGITS
+            return Fraction(_to_decimal(t).exp())
 
-    return LiftedFunction(oracle=oracle, mode="decimal", digits=digits, label="exp")
+    return LiftedFunction(oracle=oracle, label="exp")
 
 
-def log_fn(digits: int = DEFAULT_DECIMAL_DIGITS) -> LiftedFunction:
+def log_fn() -> LiftedFunction:
     """Natural logarithm on t > 0.
 
     Only the value itself needs decimals; every higher derivative
@@ -458,39 +457,26 @@ def log_fn(digits: int = DEFAULT_DECIMAL_DIGITS) -> LiftedFunction:
 
     def oracle(k: int, t: Fraction) -> Fraction:
         if k == 0:
-            if t == 1:
-                return Fraction(0)
             with localcontext() as ctx:
-                ctx.prec = digits
-                return Fraction(_to_decimal(t, digits).ln())
+                ctx.prec = DECIMAL_DIGITS
+                return Fraction(_to_decimal(t).ln())
         return Fraction((-1) ** (k - 1) * factorial(k - 1)) / t**k
 
-    return LiftedFunction(
-        oracle=oracle,
-        domain=lambda t: t > 0,
-        mode="decimal",
-        digits=digits,
-        label="log",
-    )
+    return LiftedFunction(oracle=oracle, domain=lambda t: t > 0, label="log")
 
 
-def sin_fn(digits: int = DEFAULT_DECIMAL_DIGITS) -> LiftedFunction:
+def sin_fn() -> LiftedFunction:
     """Sine; derivatives cycle through sin, cos, -sin, -cos."""
 
     def oracle(k: int, t: Fraction) -> Fraction:
         # Negate after the exact conversion: unary minus on a Decimal
         # rounds to the ambient context and would corrupt the digits.
-        sin_t, cos_t = map(Fraction, _decimal_sin_cos(t, digits))
+        sin_t, cos_t = map(Fraction, _decimal_sin_cos(t))
         return (sin_t, cos_t, -sin_t, -cos_t)[k % 4]
 
-    return LiftedFunction(oracle=oracle, mode="decimal", digits=digits, label="sin")
+    return LiftedFunction(oracle=oracle, label="sin")
 
 
-def cos_fn(digits: int = DEFAULT_DECIMAL_DIGITS) -> LiftedFunction:
-    """Cosine; derivatives cycle through cos, -sin, -cos, sin."""
-
-    def oracle(k: int, t: Fraction) -> Fraction:
-        sin_t, cos_t = map(Fraction, _decimal_sin_cos(t, digits))
-        return (cos_t, -sin_t, -cos_t, sin_t)[k % 4]
-
-    return LiftedFunction(oracle=oracle, mode="decimal", digits=digits, label="cos")
+def cos_fn() -> LiftedFunction:
+    """Cosine, the derivative of sine."""
+    return replace(derivative(sin_fn()), label="cos")

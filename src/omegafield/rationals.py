@@ -17,8 +17,6 @@ from .errors import (
     NegativeBaseError,
 )
 
-Rational = Fraction
-
 
 def as_rational(value) -> Fraction:
     """Coerce an int, Fraction or "num/den" string to an exact rational.
@@ -53,6 +51,8 @@ def _int_nth_root(n: int, k: int):
         raise ValueError("negative radicand")
     if n in (0, 1) or k == 1:
         return n
+    if k >= n.bit_length():
+        return None  # 1 < n < 2**k, so the root lies strictly between 1 and 2
     # Newton iteration on integers, seeded from the bit length.
     x = 1 << (n.bit_length() // k + 1)
     while True:

@@ -188,15 +188,6 @@ class OmegaNumber:
             )
 
     @property
-    def is_series_in_o(self) -> bool:
-        """True when the value is certainly a series in o (top <= 0)."""
-        try:
-            self._guard_series_in_o()
-        except MathDomainError:
-            return False
-        return True
-
-    @property
     def is_standard(self) -> bool:
         """Exact and supported on exponent 0 only."""
         return self._floor is None and all(e == 0 for e in self._coeffs)

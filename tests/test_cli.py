@@ -54,6 +54,11 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err == "error: expression nested too deeply at column 1\n"
 
+    def test_huge_root_index(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "pow(2+o, 1/99999999999)")
+        assert (code, out) == (3, "")
+        assert err == "error: 2 has no exact rational 99999999999-th root\n"
+
     def test_moderate_nesting_evaluates(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "(" * 50 + "1+o" + ")" * 50)
         assert (code, out) == (0, "1 + o\n")

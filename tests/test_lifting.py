@@ -1,6 +1,8 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from omegafield import (
     CoeffTable,
@@ -27,6 +29,9 @@ from omegafield import (
     rational_fn,
     sin_fn,
 )
+from omegafield.errors import OmegaError
+from omegafield.lifting import _decimal_sin_cos
+from omegafield.rationals import as_rational, rational_pow
 from conftest import random_infinitesimal, random_rational
 
 
@@ -353,3 +358,88 @@ class TestTranscendental:
         assert abs(total.coefficient(0) - 1) < Fraction(1, 10**45)
         for k in range(1, 7):
             assert abs(total.coefficient(-k)) < Fraction(1, 10**40)
+
+    @pytest.mark.parametrize(
+        "t",
+        [Fraction(355, 113), Fraction(30), Fraction(-100), Fraction(200), Fraction(1000)],
+        ids=str,
+    )
+    def test_sin_cos_match_mpmath_beyond_pi(self, t):
+        mpmath = pytest.importorskip("mpmath")
+        start = time.perf_counter()
+        values = {"sin": sin_fn().derivative_at(0, t), "cos": cos_fn().derivative_at(0, t)}
+        assert time.perf_counter() - start < 0.5
+        with mpmath.workdps(90):
+            point = mpmath.mpf(t.numerator) / t.denominator
+            for name, value in values.items():
+                reference = getattr(mpmath, name)(point)
+                approx = mpmath.mpf(value.numerator) / value.denominator
+                assert abs((approx - reference) / reference) < mpmath.mpf(10) ** -48, name
+
+
+# ----------------------------------------------------------------------
+# references for deleted oracle code
+#
+# ``cos_fn`` once had its own derivative cycle and ``power_fn`` its own
+# falling-factorial loop; both are kept here verbatim, and the library
+# must return the same value or raise the same exception type.
+
+
+def reference_cos_oracle(k: int, t: Fraction) -> Fraction:
+    sin_t, cos_t = map(Fraction, _decimal_sin_cos(t))
+    return (cos_t, -sin_t, -cos_t, sin_t)[k % 4]
+
+
+def reference_power_oracle(alpha):
+    alpha = as_rational(alpha)
+
+    def oracle(k: int, t: Fraction) -> Fraction:
+        falling = Fraction(1)
+        for i in range(k):
+            falling *= alpha - i
+        if falling == 0:
+            return Fraction(0)
+        exponent = alpha - k
+        return falling * rational_pow(t, exponent)
+
+    return oracle
+
+
+def outcome(compute):
+    try:
+        return compute()
+    except (OmegaError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+reference = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+exponents = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+# Twelfth powers have exact roots for every exponent denominator above.
+power_points = st.builds(
+    pow, st.builds(Fraction, st.integers(-4, 6), st.integers(1, 3)), st.sampled_from([1, 12])
+)
+
+
+@reference
+@given(k=st.integers(0, 10), t=st.builds(Fraction, st.integers(-60, 60), st.integers(1, 7)))
+@example(k=3, t=Fraction(0))
+@example(k=10, t=Fraction(200, 7))
+def test_cos_is_shifted_sin(k, t):
+    assert cos_fn().derivative_at(k, t) == reference_cos_oracle(k, t)
+
+
+@reference
+@given(alpha=exponents, k=st.integers(0, 10), t=power_points)
+@example(alpha=Fraction(2), k=5, t=Fraction(3))  # polynomial path, past the degree
+@example(alpha=Fraction(-1), k=2, t=Fraction(0))  # pole
+@example(alpha=Fraction(1, 2), k=4, t=Fraction(2))  # irrational root
+def test_power_oracle_matches_falling_factorial(alpha, k, t):
+    f = power_fn(alpha)
+    assert outcome(lambda: f.derivative_at(k, t)) == outcome(
+        lambda: reference_power_oracle(alpha)(k, t)
+    )
+
+
+def test_exp_at_zero_and_log_at_one_are_exact():
+    assert [exp_fn().derivative_at(k, Fraction(0)) for k in range(3)] == [1, 1, 1]
+    assert log_fn().derivative_at(0, Fraction(1)) == 0

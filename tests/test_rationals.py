@@ -55,6 +55,13 @@ class TestRationalPow:
         with pytest.raises(DivisionByZeroError):
             rational_pow(Fraction(0), Fraction(-1, 2))
 
+    def test_huge_root_index_rejected_at_once(self):
+        # Newton's method would first build a 10**12-bit integer.
+        with pytest.raises(IrrationalLeadingCoefficientError):
+            rational_pow(Fraction(2), Fraction(1, 10**12))
+        with pytest.raises(IrrationalLeadingCoefficientError):
+            rational_pow(Fraction(1, 3), Fraction(1, 10**12))
+
     def test_large_perfect_powers(self):
         base = Fraction(12345**6, 7**12)
         assert rational_pow(base, Fraction(1, 6)) == Fraction(12345, 49)
