@@ -16,12 +16,9 @@ import os
 import sys
 from fractions import Fraction
 
-from .coefficients import k_coeff, x_coeff
+# Each subcommand imports the modules it runs, so one call loads only
+# the layers it needs.
 from .errors import MathDomainError, OmegaError
-from .expressions import evaluate, parse
-from .integers import R1Point
-from .integration import PolynomialFn, discrete_integral, riemann
-from .lifting import D_to_d_table, d_to_D_table
 from .rationals import format_rational, format_rational_json
 from .series import DEFAULT_DEPTH, expand_rational, resolve_depth
 
@@ -138,12 +135,16 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_eval(args, depth: int) -> int:
+    from .expressions import evaluate, parse
+
     value = evaluate(parse(args.expression), depth)
     _emit(args, value.to_json(), str(value))
     return 0
 
 
 def _cmd_compare(args, depth: int) -> int:
+    from .expressions import evaluate, parse
+
     left = evaluate(parse(args.left), depth)
     right = evaluate(parse(args.right), depth)
     relation = left.compare(right)
@@ -156,6 +157,8 @@ def _cmd_compare(args, depth: int) -> int:
 
 
 def _cmd_difftable(args, depth: int) -> int:
+    from .lifting import D_to_d_table, d_to_D_table
+
     if args.max_order < 1:
         raise MathDomainError("--max must be at least 1")
     build = d_to_D_table if args.direction == "d_to_D" else D_to_d_table
@@ -171,6 +174,9 @@ def _cmd_difftable(args, depth: int) -> int:
 
 
 def _cmd_integrate(args, depth: int) -> int:
+    from .integers import R1Point
+    from .integration import PolynomialFn, discrete_integral, riemann
+
     f = PolynomialFn(args.poly)
     upper = R1Point(args.t, args.k)
     value = discrete_integral(f, upper, args.g0)
@@ -196,6 +202,8 @@ def _cmd_integrate(args, depth: int) -> int:
 
 
 def _cmd_coeffs(args, depth: int) -> int:
+    from .coefficients import k_coeff, x_coeff
+
     if args.max_order < 0:
         raise MathDomainError("--max must be non-negative")
     top = args.max_order

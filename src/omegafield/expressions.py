@@ -16,9 +16,8 @@ report a 1-based column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
 from .errors import ExprSyntaxError
 from .series import OmegaNumber, S, o
@@ -28,23 +27,18 @@ __all__ = ["parse", "evaluate", "Expression"]
 _FUNCTIONS = ("inv", "sqrt", "pow", "trunc")
 
 
-@dataclass(frozen=True)
-class Expression:
+class Expression(namedtuple("Expression", "op args")):
     """AST node: ``op`` plus operands (children, numbers or names)."""
 
-    op: str
-    args: tuple
+    __slots__ = ()
 
     def __str__(self):
         inner = ", ".join(str(a) for a in self.args)
         return f"{self.op}({inner})"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int" | "name" | "op" | "end"
-    text: str
-    position: int  # 1-based column
+# kind is "int", "name", "op" or "end"; position is the 1-based column.
+_Token = namedtuple("_Token", "kind text position")
 
 
 def _tokenize(source: str):
@@ -141,36 +135,42 @@ class _Parser:
             node = Expression("ipow", (node, exponent))
         return node
 
+    def integer(self, expected: str = "expected an integer literal") -> int:
+        token = self.current
+        if token.kind != "int":
+            raise ExprSyntaxError(expected, token.position)
+        self.advance()
+        try:
+            return int(token.text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ExprSyntaxError(
+                f"integer literal of {len(token.text)} digits is too long",
+                token.position,
+            ) from None
+
     def signed_integer(self) -> int:
         negative = False
         if self.at_op("-"):
             self.advance()
             negative = True
-        token = self.current
-        if token.kind != "int":
-            raise ExprSyntaxError("expected an integer literal", token.position)
-        self.advance()
-        value = int(token.text)
+        value = self.integer()
         return -value if negative else value
 
     def rational_literal(self) -> Fraction:
         numerator = self.signed_integer()
         if self.at_op("/"):
             self.advance()
-            token = self.current
-            if token.kind != "int":
-                raise ExprSyntaxError("expected a denominator", token.position)
-            self.advance()
-            if int(token.text) == 0:
-                raise ExprSyntaxError("zero denominator", token.position)
-            return Fraction(numerator, int(token.text))
+            position = self.current.position
+            denominator = self.integer("expected a denominator")
+            if denominator == 0:
+                raise ExprSyntaxError("zero denominator", position)
+            return Fraction(numerator, denominator)
         return Fraction(numerator)
 
     def atom(self) -> Expression:
         token = self.current
         if token.kind == "int":
-            self.advance()
-            return Expression("num", (Fraction(token.text),))
+            return Expression("num", (Fraction(self.integer()),))
         if token.kind == "name":
             self.advance()
             if token.text in ("o", "S"):
@@ -218,7 +218,7 @@ def parse(source: str) -> Expression:
         raise ExprSyntaxError("expression nested too deeply", 1) from None
 
 
-def evaluate(node: Expression, depth: Optional[int] = None) -> OmegaNumber:
+def evaluate(node: Expression, depth: "int | None" = None) -> OmegaNumber:
     """Evaluate an AST at the given working depth."""
     try:
         return _evaluate(node, depth)
@@ -226,7 +226,7 @@ def evaluate(node: Expression, depth: Optional[int] = None) -> OmegaNumber:
         raise ExprSyntaxError("expression nested too deeply", 1) from None
 
 
-def _evaluate(node: Expression, depth: Optional[int]) -> OmegaNumber:
+def _evaluate(node: Expression, depth: "int | None") -> OmegaNumber:
     op = node.op
     if op == "num":
         return OmegaNumber.from_rational(node.args[0])

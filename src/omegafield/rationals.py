@@ -9,6 +9,7 @@ on top of it.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import (
@@ -33,16 +34,37 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _digits(n: int) -> str:
+    """``str(n)``, also for more digits than ``sys.get_int_max_str_digits()``.
+
+    Past that limit the digits are rendered in pieces of at most ``limit``
+    digits each, split off by powers of ten; the limit is never changed.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    width = sys.get_int_max_str_digits()  # not 0: str() would have succeeded
+    unit = 10**width
+    magnitude = abs(n)
+    pieces = []
+    while magnitude >= unit:
+        magnitude, piece = divmod(magnitude, unit)
+        pieces.append(str(piece).zfill(width))
+    pieces.append(str(magnitude))
+    return ("-" if n < 0 else "") + "".join(reversed(pieces))
+
+
 def format_rational(q: Fraction) -> str:
     """Render ``num/den`` with a ``/1`` denominator suppressed."""
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _digits(q.numerator)
+    return format_rational_json(q)
 
 
 def format_rational_json(q: Fraction) -> str:
     """Render ``num/den`` always carrying the denominator, for JSON."""
-    return f"{q.numerator}/{q.denominator}"
+    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
 
 
 def _int_nth_root(n: int, k: int):
@@ -76,7 +98,8 @@ def rational_pow(base: Fraction, exponent: Fraction) -> Fraction:
         return base ** int(exponent)
     if base < 0:
         raise NegativeBaseError(
-            f"non-integer power {exponent} of negative base {base}"
+            f"non-integer power {format_rational(exponent)} of negative base "
+            f"{format_rational(base)}"
         )
     if base == 0:
         if exponent > 0:
@@ -87,6 +110,6 @@ def rational_pow(base: Fraction, exponent: Fraction) -> Fraction:
     root_den = _int_nth_root(base.denominator, q)
     if root_num is None or root_den is None:
         raise IrrationalLeadingCoefficientError(
-            f"{base} has no exact rational {q}-th root"
+            f"{format_rational(base)} has no exact rational {q}-th root"
         )
     return Fraction(root_num, root_den) ** exponent.numerator

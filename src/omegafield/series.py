@@ -19,9 +19,9 @@ PrecisionError rather than fabricate or silently equate.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (
     DivisionByZeroError,
@@ -51,8 +51,8 @@ def resolve_depth(depth: "int | None", name: str = "depth") -> int:
     return depth
 
 
-RationalLike = Union[int, Fraction, str]
-EntryLike = Union[Mapping[int, RationalLike], Iterable[tuple]]
+RationalLike = "int | Fraction | str"
+EntryLike = "Mapping[int, RationalLike] | Iterable[tuple]"
 
 
 class ComparisonResult(Enum):

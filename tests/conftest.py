@@ -1,4 +1,6 @@
+import contextlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,3 +31,22 @@ def random_infinitesimal(rng, lo=-5, hi=-1, max_terms=3):
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+@pytest.fixture
+def int_str_digits():
+    """``with int_str_digits(n):`` sets the interpreter's int/str digit
+    limit to n (0 lifts it) for the block and restores it afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+
+    @contextlib.contextmanager
+    def limit(digits):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(digits)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+    return limit

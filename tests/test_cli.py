@@ -228,3 +228,35 @@ class TestAlephJsonSchema:
         assert json.dumps(value.to_json()) == (
             '{"kind": "aleph", "coeffs": ["3/1", "1/2"]}'
         )
+
+
+class TestLongIntegers:
+    """Integers longer than the interpreter's int/str digit limit (4300 by
+    default) print in full on output and are refused on input."""
+
+    def test_power_of_two_prints_every_digit(self, capsys, int_str_digits):
+        code, out, _ = run_cli(capsys, "eval", "2^20000")
+        assert code == 0
+        with int_str_digits(0):
+            assert out == f"{2**20000}\n"
+
+    def test_power_of_two_json(self, capsys, int_str_digits):
+        code, out, _ = run_cli(capsys, "eval", "2^20000", "--json")
+        assert code == 0
+        with int_str_digits(0):
+            expected = {"kind": "omega", "zero": False, "top": 0,
+                        "coeffs": {"0": f"{2**20000}/1"}, "floor": "exact"}
+            assert out == json.dumps(expected) + "\n"
+
+    def test_rational_power_prints_every_digit(self, capsys, int_str_digits):
+        code, out, _ = run_cli(capsys, "eval", "pow(4+o, 30001/2)", "--depth", "1")
+        assert code == 0
+        with int_str_digits(0):
+            assert out == f"{2**30001} + {30001 * 2**29998}*o [floor=-1]\n"
+
+    def test_overlong_literal_is_a_syntax_error(self, capsys, int_str_digits):
+        with int_str_digits(4300):  # Python's default
+            code, out, err = run_cli(capsys, "eval", "1 + " + "7" * 5000)
+        assert code == 2
+        assert out == ""
+        assert err == "error: integer literal of 5000 digits is too long at column 5\n"

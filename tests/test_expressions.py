@@ -64,6 +64,28 @@ class TestParse:
         with pytest.raises(ExprSyntaxError):
             parse("o^(1/2)")
 
+    def test_overlong_literals(self, int_str_digits):
+        digits = "9" * 5000
+        for text, column in [(digits, 1), (f"o^{digits}", 3),
+                             (f"pow(1+o, 1/{digits})", 12), (f"pow(o, -{digits})", 9)]:
+            with int_str_digits(4300), pytest.raises(ExprSyntaxError) as info:
+                parse(text)
+            assert info.value.position == column
+            assert "digits is too long" in str(info.value)
+
+    def test_node_value_semantics(self):
+        node = parse("pow(1+o, 3/2)")
+        assert node == parse("pow(1 + o, 3/2)")
+        assert hash(node) == hash(parse("pow(1 + o, 3/2)"))
+        assert node != parse("pow(1+o, 1/2)")
+        assert repr(node.args[0]) == (
+            "Expression(op='add', args=(Expression(op='num', args=(Fraction(1, 1),)), "
+            "Expression(op='sym', args=('o',))))"
+        )
+        assert str(node) == "pow(add(num(1), sym(o)), 3/2)"
+        with pytest.raises(AttributeError):
+            node.op = "sqrt"
+
 
 class TestEvaluate:
     def test_sum(self):

@@ -1,0 +1,129 @@
+"""The package namespace loads its modules on first use, and each CLI
+subcommand imports only the modules it runs."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import omegafield
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+#: Every public name ``from omegafield import *`` bound when the package
+#: imported all of its modules eagerly (the modules themselves included).
+PUBLIC_NAMES = {
+    "ALEPH_ONE", "ALEPH_ZERO", "AlephNumber", "CoeffTable", "ComparisonResult",
+    "DEFAULT_DEPTH", "D_to_d_table", "DivisionByZeroError", "ExprSyntaxError",
+    "Expression", "FractionalLeadingExponentError", "IndistinguishableError",
+    "IrrationalLeadingCoefficientError", "LiftedFunction", "MathDomainError",
+    "NegativeBaseError", "NotCauchyError", "ONE", "OmegaError", "OmegaNumber",
+    "PolynomialFn", "PrecisionError", "PrecisionExhaustedError", "R1Interval",
+    "R1Point", "S", "SIGMA", "ZERO", "archimedean_witness", "as_rational",
+    "bernoulli", "binomial_general", "cauchy_limit", "coefficients",
+    "compare_aleph", "cos_fn", "count_interval", "d_to_D_table", "derivative",
+    "difference", "difference_equation_check", "difference_iterated",
+    "differential", "discrete_integral", "embed", "errors", "evaluate", "exp_fn",
+    "expand_rational", "expressions", "faulhaber", "integer_truncation",
+    "integers", "integration", "k_coeff", "lift_eval", "lifting", "log_fn",
+    "ns_continuity_check", "ns_diff_check", "o", "omega", "oplus",
+    "oplus_inductive", "otimes", "otimes_inductive", "parse", "phi",
+    "polynomial_fn", "power_fn", "predecessor", "psi", "rational_fn",
+    "rational_pow", "rationals", "riemann", "series", "sin_fn",
+    "stirling1_unsigned", "stirling2", "successor", "x_coeff",
+}
+SUBMODULES = {
+    "coefficients", "errors", "expressions", "integers", "integration",
+    "lifting", "rationals", "series",
+}
+
+
+def run_python(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("OMEGA_DEPTH", None)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestLazyNamespace:
+    def test_all_is_the_public_surface(self):
+        assert set(omegafield.__all__) == PUBLIC_NAMES
+        assert len(omegafield.__all__) == len(PUBLIC_NAMES)
+
+    @pytest.mark.parametrize("name", sorted(PUBLIC_NAMES - SUBMODULES))
+    def test_name_is_its_home_module_object(self, name):
+        home = importlib.import_module(f"omegafield.{omegafield._HOME[name]}")
+        assert getattr(omegafield, name) is getattr(home, name)
+        assert name in vars(omegafield)  # bound on first use
+
+    @pytest.mark.parametrize("name", sorted(SUBMODULES))
+    def test_submodule_attribute(self, name):
+        assert getattr(omegafield, name) is importlib.import_module(f"omegafield.{name}")
+
+    def test_dir_lists_every_public_name(self):
+        assert PUBLIC_NAMES <= set(dir(omegafield))
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from omegafield import *", namespace)
+        assert PUBLIC_NAMES <= set(namespace)
+        assert namespace["OmegaNumber"] is omegafield.series.OmegaNumber
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            omegafield.nope
+        assert not hasattr(omegafield, "nope")
+
+    def test_bare_import_then_submodule_attribute(self):
+        out = run_python(
+            "import sys, omegafield\n"
+            "print('omegafield.lifting' in sys.modules)\n"
+            "print(omegafield.lifting.exp_fn().label)\n"
+        )
+        assert out == "False\nexp\n"
+
+
+def modules_loaded_by(*argv) -> set:
+    """The modules one ``cli.main(argv)`` call leaves in ``sys.modules``."""
+    out = run_python(
+        "import sys\n"
+        "from omegafield import cli\n"
+        f"cli.main({list(argv)!r})\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    return set(out.splitlines()[-1].split())
+
+
+CORE = {
+    "omegafield", "omegafield.cli", "omegafield.errors", "omegafield.rationals",
+    "omegafield.series",
+}
+NOT_ON_THE_SERIES_PATH = {
+    "omegafield.lifting", "omegafield.integration", "omegafield.integers",
+    "omegafield.coefficients", "omegafield._poly", "dataclasses", "inspect",
+}
+
+
+class TestImportsPerSubcommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "sqrt(1+o)", "--depth", "4"),
+            ("compare", "o", "1/1000000"),
+            ("expand", "--num", "1,1", "--den", "0,1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_series_path_loads_no_other_layer(self, argv):
+        assert not modules_loaded_by(*argv) & NOT_ON_THE_SERIES_PATH
+
+    def test_coeffs_loads_only_coefficients_beyond_the_core(self):
+        loaded = {m for m in modules_loaded_by("coeffs", "--max", "3")
+                  if m.startswith("omegafield")}
+        assert loaded == CORE | {"omegafield.coefficients"}

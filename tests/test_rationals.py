@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,21 @@ class TestFormatting:
 
     def test_json_always_carries_denominator(self):
         assert format_rational_json(Fraction(3)) == "3/1"
+
+    def test_past_the_digit_limit(self, int_str_digits):
+        values = [
+            Fraction(10**640),
+            Fraction(10**1280 - 1),
+            Fraction(-(7**2000)),
+            Fraction(3**5000 + 10**700, 11**1000),
+            Fraction(12345 * 10**1300 + 1),
+        ]
+        with int_str_digits(0):
+            expected = [(str(q), f"{q.numerator}/{q.denominator}") for q in values]
+        with int_str_digits(640):  # the smallest limit Python allows
+            rendered = [(format_rational(q), format_rational_json(q)) for q in values]
+            assert sys.get_int_max_str_digits() == 640  # left as it was
+        assert rendered == expected
 
 
 class TestRationalPow:
