@@ -31,8 +31,8 @@ __version__ = "0.1.0"
 #: Each public name, listed under the module that defines it.
 _EXPORTS = {
     "coefficients": (
-        "bernoulli", "binomial_general", "k_coeff", "stirling1_unsigned",
-        "stirling2", "x_coeff",
+        "CoeffTable", "D_to_d_table", "bernoulli", "binomial_general",
+        "d_to_D_table", "k_coeff", "stirling1_unsigned", "stirling2", "x_coeff",
     ),
     "errors": (
         "DivisionByZeroError", "ExprSyntaxError",
@@ -53,10 +53,9 @@ _EXPORTS = {
         "faulhaber", "ns_continuity_check", "riemann",
     ),
     "lifting": (
-        "CoeffTable", "D_to_d_table", "LiftedFunction", "cos_fn",
-        "d_to_D_table", "derivative", "difference", "difference_iterated",
-        "differential", "exp_fn", "lift_eval", "log_fn", "ns_diff_check",
-        "polynomial_fn", "power_fn", "rational_fn", "sin_fn",
+        "LiftedFunction", "cos_fn", "derivative", "difference",
+        "difference_iterated", "differential", "exp_fn", "lift_eval", "log_fn",
+        "ns_diff_check", "polynomial_fn", "power_fn", "rational_fn", "sin_fn",
     ),
     "rationals": ("as_rational", "rational_pow"),
     "series": (

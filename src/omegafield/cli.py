@@ -11,13 +11,12 @@ error, 4 precision exhausted or indistinguishable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
 
-# Each subcommand imports the modules it runs, so one call loads only
-# the layers it needs.
+# Each subcommand imports the modules it runs, and ``json`` is imported
+# only for --json, so one call loads only what it needs.
 from .errors import MathDomainError, OmegaError
 from .rationals import format_rational, format_rational_json
 from .series import DEFAULT_DEPTH, expand_rational, resolve_depth
@@ -129,6 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
+        import json
+
         print(json.dumps(payload))
     else:
         print(text)
@@ -157,19 +158,18 @@ def _cmd_compare(args, depth: int) -> int:
 
 
 def _cmd_difftable(args, depth: int) -> int:
-    from .lifting import D_to_d_table, d_to_D_table
+    from .coefficients import D_to_d_table, d_to_D_table
 
     if args.max_order < 1:
         raise MathDomainError("--max must be at least 1")
     build = d_to_D_table if args.direction == "d_to_D" else D_to_d_table
     table = build(args.max_order)
-    if args.json:
-        print(json.dumps(table.to_json()))
-        return 0
     prefix = "p" if args.direction == "d_to_D" else "n"
-    for order in range(1, args.max_order + 1):
-        row = ", ".join(format_rational(c) for c in table.row(order))
-        print(f"{prefix}={order}: {row}")
+    text = "\n".join(
+        f"{prefix}={order}: " + ", ".join(format_rational(c) for c in row)
+        for order, row in enumerate(table.rows, 1)
+    )
+    _emit(args, table.to_json(), text)
     return 0
 
 
@@ -213,16 +213,13 @@ def _cmd_coeffs(args, depth: int) -> int:
     else:
         rows = [[k_coeff(m, j) for j in range(m + 1)] for m in range(top + 1)]
         label = "m"
-    if args.json:
-        print(
-            json.dumps(
-                {"kind": "coeff_family", "family": args.family,
-                 "max": top, "rows": rows}
-            )
-        )
-        return 0
-    for index, row in enumerate(rows):
-        print(f"{label}={index}: " + ", ".join(str(c) for c in row))
+    payload = {"kind": "coeff_family", "family": args.family, "max": top,
+               "rows": rows}
+    text = "\n".join(
+        f"{label}={index}: " + ", ".join(str(c) for c in row)
+        for index, row in enumerate(rows)
+    )
+    _emit(args, payload, text)
     return 0
 
 
@@ -253,7 +250,18 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        try:
+            status = main()
+        finally:  # also when argparse exits after printing help or usage
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (``omega ... | head``).  As the ``signal``
+        # documentation advises, point stdout at devnull so the flush at
+        # exit raises no second error, and end quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

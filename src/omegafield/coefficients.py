@@ -3,17 +3,20 @@
 Everything here is computed in exact integer or rational arithmetic:
 generalized binomial coefficients, Bernoulli numbers, the alternating
 finite-difference sums ``x_coeff``, the symmetric-product sums
-``k_coeff``, and the two Stirling triangles kept as independent oracles
-for them.
+``k_coeff``, the two Stirling triangles kept as independent oracles
+for them, and the two conversion tables between the differential
+families of ``lifting``, which are built from ``x_coeff`` and
+``k_coeff`` alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .rationals import as_rational
+from .rationals import as_rational, format_rational_json
 
 
 def binomial_general(alpha, k: int) -> Fraction:
@@ -103,3 +106,93 @@ def stirling1_unsigned(p: int, n: int) -> int:
     if p == 0 or n == 0:
         return 0
     return (p - 1) * stirling1_unsigned(p - 1, n) + stirling1_unsigned(p - 1, n - 1)
+
+
+# ----------------------------------------------------------------------
+# conversion tables between the two differential families
+
+
+class CoeffTable(namedtuple("CoeffTable", "direction cutoff rows")):
+    """Triangular table converting one differential family to the other.
+
+    ``direction`` is "d_to_D" or "D_to_d".  Row index 0 holds order 1;
+    each row lists the exact coefficients from the diagonal column up to
+    the cutoff order.
+    """
+
+    __slots__ = ()
+
+    def entry(self, row_order: int, col_order: int) -> Fraction:
+        """Coefficient at (row_order, col_order); zero below the diagonal."""
+        if not 1 <= row_order <= self.cutoff:
+            raise IndexError(f"row order {row_order} outside 1..{self.cutoff}")
+        if not 1 <= col_order <= self.cutoff:
+            raise IndexError(f"column order {col_order} outside 1..{self.cutoff}")
+        if col_order < row_order:
+            return Fraction(0)
+        return self.rows[row_order - 1][col_order - row_order]
+
+    def row(self, row_order: int) -> tuple:
+        return self.rows[row_order - 1]
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "coeff_table",
+            "direction": self.direction,
+            "cutoff": self.cutoff,
+            "rows": [
+                [format_rational_json(c) for c in row] for row in self.rows
+            ],
+        }
+
+    @classmethod
+    def from_json(cls, data) -> "CoeffTable":
+        if data.get("kind") != "coeff_table":
+            raise ValueError("not a serialized coefficient table")
+        return cls(
+            direction=data["direction"],
+            cutoff=int(data["cutoff"]),
+            rows=tuple(
+                tuple(Fraction(c) for c in row) for row in data["rows"]
+            ),
+        )
+
+
+def d_to_D_table(max_order: int) -> CoeffTable:
+    """Difference operators in terms of Leibniz differentials.
+
+    Row p holds the weights of the order-n differentials (n from p to the
+    cutoff) in the order-p difference: the alternating sums divided by n!.
+    """
+    if max_order < 1:
+        raise ValueError("max_order must be at least 1")
+    rows = tuple(
+        tuple(
+            Fraction(x_coeff(p, n), math.factorial(n))
+            for n in range(p, max_order + 1)
+        )
+        for p in range(1, max_order + 1)
+    )
+    return CoeffTable("d_to_D", max_order, rows)
+
+
+def D_to_d_table(max_order: int) -> CoeffTable:
+    """Leibniz differentials in terms of difference operators.
+
+    Row n holds the weights of the order-p differences (p from n to the
+    cutoff) in the order-n differential: n! (-1)**(p-n) K(p-1, p-n) / p!,
+    with a unit diagonal (the empty product).
+    """
+    if max_order < 1:
+        raise ValueError("max_order must be at least 1")
+    rows = tuple(
+        tuple(
+            Fraction(
+                math.factorial(n) * (-1) ** (p - n) * k_coeff(p - 1, p - n),
+                math.factorial(p),
+            )
+            for p in range(n, max_order + 1)
+        )
+        for n in range(1, max_order + 1)
+    )
+    return CoeffTable("D_to_d", max_order, rows)

@@ -13,9 +13,9 @@ standard integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import _poly
 from .errors import (
@@ -49,17 +49,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class R1Point:
-    """Lattice point t + k*o."""
+class R1Point(namedtuple("R1Point", "t k")):
+    """Lattice point t + k*o, ordered by (t, k)."""
 
-    t: Fraction
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", as_rational(self.t))
-        if not isinstance(self.k, int):
+    def __new__(cls, t, k: int):
+        t = as_rational(t)
+        if not isinstance(k, int):
             raise TypeError("the o-multiplier must be an integer")
+        return super().__new__(cls, t, k)
 
     @property
     def is_nonnegative(self) -> bool:
@@ -80,21 +79,11 @@ class R1Point:
     def __sub__(self, other: "R1Point") -> "R1Point":
         return R1Point(self.t - other.t, self.k - other.k)
 
-    def _key(self):
-        return (self.t, self.k)
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
-
     def __str__(self):
         return str(self.value())
 
 
-@dataclass(frozen=True)
-class R1Interval:
+class R1Interval(namedtuple("R1Interval", "lo hi closed")):
     """Interval of lattice points between two endpoints.
 
     ``closed`` includes both endpoints; otherwise the upper endpoint is
@@ -102,13 +91,12 @@ class R1Interval:
     difference of the endpoints.
     """
 
-    lo: R1Point
-    hi: R1Point
-    closed: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.lo <= self.hi:
+    def __new__(cls, lo: R1Point, hi: R1Point, closed: bool = True):
+        if not lo <= hi:
             raise MathDomainError("interval endpoints out of order")
+        return super().__new__(cls, lo, hi, closed)
 
     @property
     def is_empty(self) -> bool:

@@ -11,9 +11,9 @@ standard part is the ordinary integral.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
-from typing import Sequence
 
 from . import _poly
 from .coefficients import bernoulli

@@ -8,26 +8,23 @@ finite exact computation once truncated at a working depth.
 Two systems of higher differentials live on lifted functions: the
 iterated o-step difference (order p) and the Leibniz differential
 ``f^(n) * o**n`` (order n).  They are linear combinations of each other
-with exact rational coefficients; both conversion tables are produced
-here and are exact inverses of one another.
+with exact rational coefficients; both conversion tables are built in
+``coefficients`` from the coefficient families alone, are re-exported
+here, and are exact inverses of one another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from collections.abc import Sequence
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Optional, Sequence
 
 from . import _poly
-from .coefficients import binomial_general, k_coeff, x_coeff
+from .coefficients import CoeffTable, D_to_d_table, binomial_general, d_to_D_table
 from .errors import MathDomainError
-from .rationals import (
-    as_rational,
-    format_rational_json,
-    rational_pow,
-)
+from .rationals import as_rational, rational_pow
 from .series import OmegaNumber, ZERO, o as O_UNIT, resolve_depth
 
 __all__ = [
@@ -54,23 +51,23 @@ __all__ = [
 DECIMAL_DIGITS = 50
 
 
-@dataclass(frozen=True)
-class LiftedFunction:
+class LiftedFunction(namedtuple("LiftedFunction", "oracle domain degree label")):
     """Smooth function presented by its derivative oracle.
 
     ``oracle(k, t)`` returns the exact rational used for the k-th
     derivative at the standard point t.  For ``exp_fn``, ``log_fn``,
     ``sin_fn`` and ``cos_fn`` that rational is a ``DECIMAL_DIGITS``-digit
     decimal approximation of a transcendental value, converted exactly;
-    everything downstream stays exact arithmetic on it.  ``degree`` marks
-    oracles that vanish beyond a finite order, so polynomial lifts
-    terminate and come back exact.
+    everything downstream stays exact arithmetic on it.  ``domain(t)``
+    tells whether t is a point of the domain (every t by default).
+    ``degree`` marks oracles that vanish beyond a finite order, so
+    polynomial lifts terminate and come back exact.
     """
 
-    oracle: Callable[[int, Fraction], Fraction]
-    domain: Callable[[Fraction], bool] = field(default=lambda t: True)
-    degree: Optional[int] = None
-    label: str = "f"
+    __slots__ = ()
+
+    def __new__(cls, oracle, domain=lambda t: True, degree=None, label="f"):
+        return super().__new__(cls, oracle, domain, degree, label)
 
     def derivative_at(self, k: int, t: Fraction) -> Fraction:
         if self.degree is not None and k > self.degree:
@@ -89,8 +86,7 @@ def derivative(f: LiftedFunction, q: int = 1) -> LiftedFunction:
         return f
     base = f.oracle
     shifted_degree = max(f.degree - q, 0) if f.degree is not None else None
-    return replace(
-        f,
+    return f._replace(
         oracle=lambda k, t: base(k + q, t),
         degree=shifted_degree,
         label=f"{f.label}^({q})",
@@ -200,97 +196,6 @@ def ns_diff_check(
 
 
 # ----------------------------------------------------------------------
-# conversion tables between the two differential families
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """Triangular table converting one differential family to the other.
-
-    Row i (1-based order i+1... row index 0 is order 1) lists the exact
-    coefficients from the diagonal column up to the cutoff order.
-    """
-
-    direction: str  # "d_to_D" or "D_to_d"
-    cutoff: int
-    rows: tuple
-
-    def entry(self, row_order: int, col_order: int) -> Fraction:
-        """Coefficient at (row_order, col_order); zero below the diagonal."""
-        if not 1 <= row_order <= self.cutoff:
-            raise IndexError(f"row order {row_order} outside 1..{self.cutoff}")
-        if not 1 <= col_order <= self.cutoff:
-            raise IndexError(f"column order {col_order} outside 1..{self.cutoff}")
-        if col_order < row_order:
-            return Fraction(0)
-        return self.rows[row_order - 1][col_order - row_order]
-
-    def row(self, row_order: int) -> tuple:
-        return self.rows[row_order - 1]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "coeff_table",
-            "direction": self.direction,
-            "cutoff": self.cutoff,
-            "rows": [
-                [format_rational_json(c) for c in row] for row in self.rows
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "CoeffTable":
-        if data.get("kind") != "coeff_table":
-            raise ValueError("not a serialized coefficient table")
-        return cls(
-            direction=data["direction"],
-            cutoff=int(data["cutoff"]),
-            rows=tuple(
-                tuple(Fraction(c) for c in row) for row in data["rows"]
-            ),
-        )
-
-
-def d_to_D_table(max_order: int) -> CoeffTable:
-    """Difference operators in terms of Leibniz differentials.
-
-    Row p holds the weights of the order-n differentials (n from p to the
-    cutoff) in the order-p difference: the alternating sums divided by n!.
-    """
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
-    rows = tuple(
-        tuple(
-            Fraction(x_coeff(p, n), factorial(n)) for n in range(p, max_order + 1)
-        )
-        for p in range(1, max_order + 1)
-    )
-    return CoeffTable("d_to_D", max_order, rows)
-
-
-def D_to_d_table(max_order: int) -> CoeffTable:
-    """Leibniz differentials in terms of difference operators.
-
-    Row n holds the weights of the order-p differences (p from n to the
-    cutoff) in the order-n differential: n! (-1)**(p-n) K(p-1, p-n) / p!,
-    with a unit diagonal (the empty product).
-    """
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
-    rows = tuple(
-        tuple(
-            Fraction(
-                factorial(n) * (-1) ** (p - n) * k_coeff(p - 1, p - n),
-                factorial(p),
-            )
-            for p in range(n, max_order + 1)
-        )
-        for n in range(1, max_order + 1)
-    )
-    return CoeffTable("D_to_d", max_order, rows)
-
-
-# ----------------------------------------------------------------------
 # built-in function constructors
 
 
@@ -352,7 +257,7 @@ def power_fn(alpha) -> LiftedFunction:
     if is_integer and alpha >= 0:
         coeffs = [Fraction(0)] * int(alpha) + [Fraction(1)]
         fn = polynomial_fn(coeffs)
-        return replace(fn, label=f"t^{alpha}")
+        return fn._replace(label=f"t^{alpha}")
 
     def domain(t: Fraction) -> bool:
         return t != 0 if is_integer else t > 0
@@ -479,4 +384,4 @@ def sin_fn() -> LiftedFunction:
 
 def cos_fn() -> LiftedFunction:
     """Cosine, the derivative of sine."""
-    return replace(derivative(sin_fn()), label="cos")
+    return derivative(sin_fn())._replace(label="cos")

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from omegafield import AlephNumber, CoeffTable, OmegaNumber
 from omegafield.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
@@ -260,3 +265,29 @@ class TestLongIntegers:
         assert code == 2
         assert out == ""
         assert err == "error: integer literal of 5000 digits is too long at column 5\n"
+
+
+class TestClosedStdout:
+    """A reader that leaves early (``omega ... | head``) ends the call with
+    exit code 1 and nothing on stderr, whether the output is written by
+    ``print`` (long), by the flush at exit (short) or by argparse."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("eval", "2^20000", "--json"), ("compare", "o", "1/1000000"), ("--help",)],
+        ids=("long-json", "short-text", "help"),
+    )
+    def test_no_traceback_on_a_closed_pipe(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader at all: the first write fails
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "omegafield", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == 1

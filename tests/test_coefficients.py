@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 
 from omegafield import (
+    CoeffTable,
+    D_to_d_table,
     bernoulli,
     binomial_general,
+    d_to_D_table,
     k_coeff,
     stirling1_unsigned,
     stirling2,
@@ -127,3 +130,39 @@ class TestStirling:
             assert sum(
                 stirling1_unsigned(p, n) for n in range(p + 1)
             ) == math.factorial(p)
+
+
+class TestCoeffTableValue:
+    """CoeffTable behaves as the frozen dataclass it was."""
+
+    def test_repr(self):
+        assert repr(d_to_D_table(2)) == (
+            "CoeffTable(direction='d_to_D', cutoff=2, "
+            "rows=((Fraction(1, 1), Fraction(1, 2)), (Fraction(1, 1),)))"
+        )
+        assert repr(D_to_d_table(2)) == (
+            "CoeffTable(direction='D_to_d', cutoff=2, "
+            "rows=((Fraction(1, 1), Fraction(-1, 2)), (Fraction(1, 1),)))"
+        )
+
+    def test_equal_values_hash_alike(self):
+        table = D_to_d_table(3)
+        same = CoeffTable("D_to_d", 3, tuple(tuple(row) for row in table.rows))
+        assert table == same and hash(table) == hash(same)
+        assert table != d_to_D_table(3)
+
+    def test_fields_are_read_only(self):
+        table = d_to_D_table(2)
+        with pytest.raises(AttributeError):
+            table.cutoff = 3
+        assert table.cutoff == 2
+
+    def test_json_round_trip(self):
+        for table in (d_to_D_table(6), D_to_d_table(6)):
+            assert CoeffTable.from_json(table.to_json()) == table
+
+    def test_entry_below_the_diagonal_and_out_of_range(self):
+        table = d_to_D_table(3)
+        assert table.entry(3, 1) == 0
+        with pytest.raises(IndexError, match="row order 4 outside 1..3"):
+            table.entry(4, 4)

@@ -112,6 +112,55 @@ class TestCountInterval:
             R1Interval(R1Point(Fraction(2), 0), R1Point(Fraction(1), 0))
 
 
+class TestLatticeValueObjects:
+    """R1Point and R1Interval behave as the frozen dataclasses they were:
+    same repr, value equality and hash, immutable, validated on creation."""
+
+    def test_point_repr(self):
+        assert repr(R1Point(Fraction(1, 2), 3)) == "R1Point(t=Fraction(1, 2), k=3)"
+        assert repr(R1Point(t=2, k=-1)) == "R1Point(t=Fraction(2, 1), k=-1)"
+
+    def test_interval_repr(self):
+        interval = R1Interval(R1Point(0, 0), R1Point(Fraction(1, 2), 3), closed=False)
+        assert repr(interval) == (
+            "R1Interval(lo=R1Point(t=Fraction(0, 1), k=0), "
+            "hi=R1Point(t=Fraction(1, 2), k=3), closed=False)"
+        )
+        assert R1Interval(R1Point(0, 0), R1Point(0, 0)).closed is True
+
+    def test_equal_values_hash_alike(self):
+        point = R1Point(Fraction(2, 4), 3)
+        assert point == R1Point(Fraction(1, 2), 3)
+        assert hash(point) == hash(R1Point(Fraction(1, 2), 3))
+        assert point != R1Point(Fraction(1, 2), 4)
+        interval = R1Interval(R1Point(0, 1), point)
+        assert interval == R1Interval(R1Point(0, 1), point, True)
+        assert hash(interval) == hash(R1Interval(R1Point(0, 1), point, True))
+        assert interval != R1Interval(R1Point(0, 1), point, False)
+
+    def test_fields_are_read_only(self):
+        point = R1Point(1, 2)
+        interval = R1Interval(point, point)
+        for obj, name in ((point, "t"), (point, "k"), (interval, "closed")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 0)
+        assert point == R1Point(1, 2) and interval.closed is True
+
+    def test_validation(self):
+        with pytest.raises(TypeError, match="o-multiplier must be an integer"):
+            R1Point(1, 1.5)
+        with pytest.raises(MathDomainError, match="out of order"):
+            R1Interval(lo=R1Point(0, 1), hi=R1Point(0, 0))
+
+    def test_points_order_by_standard_part_then_multiplier(self):
+        points = [R1Point(1, 3), R1Point(Fraction(1, 2), 9), R1Point(1, -2)]
+        assert sorted(points) == [
+            R1Point(Fraction(1, 2), 9), R1Point(1, -2), R1Point(1, 3),
+        ]
+        assert R1Point(1, 2) <= R1Point(1, 2) < R1Point(1, 3)
+        assert R1Point(2, 0) > R1Point(1, 9) and R1Point(2, 0) >= R1Point(2, 0)
+
+
 class RandomSpan:
     """Non-negative lattice difference used to build interval pairs."""
 

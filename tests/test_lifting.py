@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from omegafield import (
     CoeffTable,
     D_to_d_table,
+    LiftedFunction,
     MathDomainError,
     ONE,
     OmegaNumber,
@@ -262,6 +263,48 @@ class TestTables:
         assert data["direction"] == "D_to_d"
         assert data["cutoff"] == 5
         assert CoeffTable.from_json(data) == table
+
+
+class TestLiftedFunctionValue:
+    """LiftedFunction behaves as the frozen dataclass it was, and the
+    built-in constructors give the same labels."""
+
+    def test_repr(self):
+        text = repr(LiftedFunction(abs))
+        assert text.startswith(
+            "LiftedFunction(oracle=<built-in function abs>, "
+            "domain=<function LiftedFunction.<lambda> at "
+        )
+        assert text.endswith(">, degree=None, label='f')")
+
+    def test_equal_values_hash_alike(self):
+        f = LiftedFunction(abs)
+        assert f == LiftedFunction(oracle=abs)
+        assert hash(f) == hash(LiftedFunction(oracle=abs))
+        assert f != LiftedFunction(abs, label="g")
+        assert f.in_domain(Fraction(-7)) and f.degree is None
+
+    def test_fields_are_read_only(self):
+        f = polynomial_fn([1, 2])
+        with pytest.raises(AttributeError):
+            f.label = "g"
+        assert f.label == "poly(1,2)"
+
+    def test_labels(self):
+        poly = polynomial_fn([1, 2, 3])
+        assert (derivative(poly, 2).label, derivative(poly, 2).degree) == ("poly(1,2,3)^(2)", 0)
+        assert derivative(poly, 0) is poly
+        assert (power_fn(3).label, power_fn(3).degree) == ("t^3", 3)
+        assert power_fn(Fraction(1, 2)).label == "t^1/2"
+        assert power_fn(-2).label == "t^-2"
+        assert cos_fn().label == "cos"
+        assert derivative(cos_fn()).label == "cos^(1)"
+        assert derivative(exp_fn(), 3).label == "exp^(3)"
+        assert rational_fn([1], [1, 1]).label == "rational"
+
+    def test_cos_keeps_the_shifted_sine_oracle(self):
+        assert cos_fn().oracle(0, Fraction(0)) == 1
+        assert cos_fn().oracle(1, Fraction(0)) == 0
 
 
 class TestTaylorShift:

@@ -2,6 +2,7 @@
 subcommand imports only the modules it runs."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -89,15 +90,21 @@ class TestLazyNamespace:
         assert out == "False\nexp\n"
 
 
-def modules_loaded_by(*argv) -> set:
-    """The modules one ``cli.main(argv)`` call leaves in ``sys.modules``."""
+def output_and_modules(*argv):
+    """What one ``cli.main(argv)`` call prints, and the modules it leaves
+    in ``sys.modules``."""
     out = run_python(
         "import sys\n"
         "from omegafield import cli\n"
         f"cli.main({list(argv)!r})\n"
         "print(' '.join(sorted(sys.modules)))\n"
     )
-    return set(out.splitlines()[-1].split())
+    *printed, modules = out.splitlines()
+    return printed, set(modules.split())
+
+
+def modules_loaded_by(*argv) -> set:
+    return output_and_modules(*argv)[1]
 
 
 CORE = {
@@ -127,3 +134,50 @@ class TestImportsPerSubcommand:
         loaded = {m for m in modules_loaded_by("coeffs", "--max", "3")
                   if m.startswith("omegafield")}
         assert loaded == CORE | {"omegafield.coefficients"}
+
+
+README_CALLS = [
+    ("eval", "sqrt(1+o)", "--depth", "4"),
+    ("compare", "o", "1/1000000"),
+    ("difftable", "--dir", "D_to_d", "--max", "4"),
+    ("integrate", "--poly", "0,1", "--t", "1"),
+    ("coeffs", "--family", "k", "--max", "3"),
+    ("expand", "--num", "1,1", "--den", "0,1"),
+]
+#: Modules that cost start-up time no subcommand needs to pay in text mode.
+COLD_START_COSTS = {"dataclasses", "inspect", "json"}
+
+
+class TestColdStartImports:
+    @pytest.mark.parametrize("argv", README_CALLS, ids=lambda argv: argv[0])
+    def test_text_mode_loads_no_dataclasses_inspect_or_json(self, argv):
+        assert not modules_loaded_by(*argv) & COLD_START_COSTS
+
+    @pytest.mark.parametrize("argv", README_CALLS, ids=lambda argv: argv[0])
+    def test_json_mode_still_prints_json(self, argv):
+        printed, loaded = output_and_modules(*argv, "--json")
+        assert "json" in loaded
+        assert len(printed) == 1
+        assert json.loads(printed[0])["kind"]
+
+    def test_difftable_loads_only_coefficients_beyond_the_core(self):
+        loaded = {m for m in modules_loaded_by("difftable", "--max", "3")
+                  if m.startswith("omegafield")}
+        assert "omegafield.lifting" not in loaded
+        assert loaded == CORE | {"omegafield.coefficients"}
+
+    def test_library_layers_load_no_dataclasses(self):
+        out = run_python(
+            "import sys\n"
+            "import omegafield.lifting, omegafield.integers, omegafield.integration\n"
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+        )
+        assert out == "[]\n"
+
+    def test_lifting_reexports_the_tables_from_coefficients(self):
+        from omegafield import coefficients, lifting
+
+        for name in ("CoeffTable", "d_to_D_table", "D_to_d_table"):
+            assert getattr(lifting, name) is getattr(coefficients, name)
+            assert name in lifting.__all__
+            assert omegafield._HOME[name] == "coefficients"
