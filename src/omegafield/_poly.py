@@ -3,7 +3,9 @@
 A polynomial is a list of Fractions, constant term first, with trailing
 zeros stripped; the zero polynomial is ``[0]``.  Infinite integers,
 integrands and the polynomial and rational lifts all keep their
-coefficients in this one format.
+coefficients in this one format.  Only normalization, derivatives and
+Horner's scheme live here: sums, products and quotients of polynomials
+go through the series kernel.
 """
 
 from fractions import Fraction
@@ -18,27 +20,6 @@ def normalize(coeffs) -> list:
     while len(values) > 1 and values[-1] == 0:
         values.pop()
     return values
-
-
-def add(a, b) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return normalize(out)
-
-
-def scale(a, factor) -> list:
-    return normalize([factor * c for c in a])
-
-
-def mul(a, b) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return normalize(out)
 
 
 def derive(a, k: int = 1) -> list:

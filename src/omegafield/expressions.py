@@ -20,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ExprSyntaxError
-from .series import OmegaNumber, S, o
+from .series import OmegaNumber, S, o, resolve_depth
 
 __all__ = ["parse", "evaluate", "Expression"]
 
@@ -198,11 +198,10 @@ class _Parser:
             return Expression("pow", (first, alpha))
         if name.text == "trunc":
             self.expect_op(",")
+            position = self.current.position
             order = self.signed_integer()
             if order < 0:
-                raise ExprSyntaxError(
-                    "truncation order must be non-negative", name.position
-                )
+                raise ExprSyntaxError("truncation order must be non-negative", position)
             self.expect_op(")")
             return Expression("trunc", (first, order))
         self.expect_op(")")
@@ -220,13 +219,14 @@ def parse(source: str) -> Expression:
 
 def evaluate(node: Expression, depth: "int | None" = None) -> OmegaNumber:
     """Evaluate an AST at the given working depth."""
+    depth = resolve_depth(depth)
     try:
         return _evaluate(node, depth)
     except RecursionError:
         raise ExprSyntaxError("expression nested too deeply", 1) from None
 
 
-def _evaluate(node: Expression, depth: "int | None") -> OmegaNumber:
+def _evaluate(node: Expression, depth: int) -> OmegaNumber:
     op = node.op
     if op == "num":
         return OmegaNumber.from_rational(node.args[0])

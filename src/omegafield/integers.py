@@ -241,13 +241,13 @@ def predecessor(number: AlephNumber) -> AlephNumber:
 
 
 def oplus(left: AlephNumber, right: AlephNumber) -> AlephNumber:
-    """Closed-form sum: coefficientwise polynomial addition."""
-    return AlephNumber(_poly.add(left.coeffs, right.coeffs))
+    """Closed-form sum: the series sum of the embedded integers."""
+    return AlephNumber(_coefficient_list(embed(left) + embed(right)))
 
 
 def otimes(left: AlephNumber, right: AlephNumber) -> AlephNumber:
-    """Closed-form product: polynomial multiplication."""
-    return AlephNumber(_poly.mul(left.coeffs, right.coeffs))
+    """Closed-form product: the series product of the embedded integers."""
+    return AlephNumber(_coefficient_list(embed(left) * embed(right)))
 
 
 def oplus_inductive(number: AlephNumber, steps: int) -> AlephNumber:
@@ -322,10 +322,14 @@ def _truncation_candidate(value: OmegaNumber) -> AlephNumber:
         raise PrecisionExhaustedError(
             "constant coefficient of the value is unknown"
         )
-    top = max(value.support + (0,))
-    coeffs = [value.coefficient(e) for e in range(top + 1)]
+    coeffs = _coefficient_list(value)
     coeffs[0] = Fraction(coeffs[0].numerator // coeffs[0].denominator)
     return AlephNumber(coeffs)
+
+
+def _coefficient_list(value: OmegaNumber) -> list:
+    # Coefficients at exponents 0 up to the top, constant term first.
+    return [value.coefficient(e) for e in range(max(value.support + (0,)) + 1)]
 
 
 def archimedean_witness(a: OmegaNumber, b: OmegaNumber) -> AlephNumber:

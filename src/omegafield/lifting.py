@@ -25,7 +25,7 @@ from . import _poly
 from .coefficients import CoeffTable, D_to_d_table, binomial_general, d_to_D_table
 from .errors import MathDomainError
 from .rationals import as_rational, rational_pow
-from .series import OmegaNumber, ZERO, o as O_UNIT, resolve_depth
+from .series import OmegaNumber, ZERO, expand_rational, o as O_UNIT, resolve_depth
 
 __all__ = [
     "LiftedFunction",
@@ -213,36 +213,39 @@ def polynomial_fn(coeffs: Sequence) -> LiftedFunction:
 def rational_fn(num: Sequence, den: Sequence) -> LiftedFunction:
     """Quotient of polynomials, exact away from the denominator's zeros.
 
-    The k-th derivative is maintained as N_k / Q**(k+1) via the quotient
-    rule N_{k+1} = N_k' Q - (k+1) N_k Q'; numerators are cached.
+    The k-th derivative at t is k! times the o**k coefficient of
+    p(t + o) / q(t + o), expanded by ``expand_rational``.  Only the last
+    point's expansion is kept; an order below its floor expands again,
+    to twice that order.  A pole raises ZeroDivisionError.
     """
     p = _poly.normalize(num)
     q = _poly.normalize(den)
     if q == [0]:
         raise MathDomainError("zero denominator polynomial")
-    q_prime = _poly.derive(q)
-    numerators = [p]
-
-    def numerator(k: int):
-        while len(numerators) <= k:
-            index = len(numerators) - 1
-            n_k = numerators[index]
-            numerators.append(
-                _poly.add(
-                    _poly.mul(_poly.derive(n_k), q),
-                    _poly.scale(_poly.mul(n_k, q_prime), -(index + 1)),
-                )
-            )
-        return numerators[k]
+    last = {"t": None}
 
     def oracle(k: int, t: Fraction) -> Fraction:
-        return _poly.evaluate(numerator(k), t) / _poly.evaluate(q, t) ** (k + 1)
+        if last["t"] != t:
+            p_t, q_t = _taylor_shift(p, t), _taylor_shift(q, t)
+            if q_t[0] == 0:
+                raise ZeroDivisionError(f"{t} is a pole of the rational function")
+            last.update(t=t, p=p_t, q=q_t, expansion=None)
+        expansion = last["expansion"]
+        if expansion is None or expansion.known_coefficient(-k) is None:
+            expansion = last["expansion"] = expand_rational(last["p"], last["q"], 2 * k)
+        return factorial(k) * expansion.coefficient(-k)
 
     return LiftedFunction(
         oracle=oracle,
         domain=lambda t: _poly.evaluate(q, t) != 0,
         label="rational",
     )
+
+
+def _taylor_shift(coeffs: list, t: Fraction) -> list:
+    """Coefficients of the polynomial at t + o, in ascending powers of o."""
+    shifted = _poly.evaluate(coeffs, t + O_UNIT, ZERO)
+    return [shifted.coefficient(-j) for j in range(len(coeffs))]
 
 
 def power_fn(alpha) -> LiftedFunction:

@@ -40,12 +40,14 @@ DEFAULT_DEPTH = 16
 def resolve_depth(depth: "int | None", name: str = "depth") -> int:
     """The working depth: ``DEFAULT_DEPTH`` for None, else ``depth`` itself.
 
-    A negative depth would put the floor above the standard part and
-    silently drop it, so it raises MathDomainError; ``name`` is the
-    setting the message blames.
+    A depth that is not an int raises TypeError.  A negative depth would
+    put the floor above the standard part and silently drop it, so it
+    raises MathDomainError; ``name`` is the setting the message blames.
     """
     if depth is None:
         return DEFAULT_DEPTH
+    if not isinstance(depth, int):
+        raise TypeError(f"{name} must be an int or None")
     if depth < 0:
         raise MathDomainError(f"{name} must be non-negative")
     return depth
@@ -615,41 +617,29 @@ def cauchy_limit(
 ) -> OmegaNumber:
     """Limit of a coefficientwise-stabilizing sequence.
 
-    For every exponent down to the limit's floor the sequence must hold a
-    constant, known coefficient over the last ``window`` indices of the
-    budget; the limit collects those stabilized coefficients.  Its floor
-    is -depth, raised to the highest floor among those last ``window``
-    elements, since nothing below that is known in all of them.  Failure
-    to stabilize raises NotCauchyError.
+    Only the last ``window`` indices of the budget decide the limit, so
+    ``seq`` is called on those alone.  Every exponent down to the limit's
+    floor must hold one coefficient in all of them; the limit collects
+    those coefficients.  Its floor is -depth, raised to the highest floor
+    among the window's elements, since nothing below that is known in
+    all of them.  Failure to stabilize raises NotCauchyError.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
     if max_index < window - 1:
         raise ValueError("max_index leaves no room for a full window")
     depth = resolve_depth(depth)
-    elements = [seq(n) for n in range(max_index + 1)]
-    floor = max(
-        [-depth] + [x.floor for x in elements[-window:] if x.floor is not None]
-    )
-    exponents = {
-        e for element in elements for e in element.support if e >= floor
-    }
+    elements = [seq(n) for n in range(max_index - window + 1, max_index + 1)]
+    floor = max([-depth] + [x.floor for x in elements if x.floor is not None])
+    exponents = {e for element in elements for e in element.support if e >= floor}
     entries: dict = {}
     for e in sorted(exponents, reverse=True):
-        values = [element.known_coefficient(e) for element in elements]
-        # Stabilized means: constant from some rank through the end of
-        # the budget.  Measure the trailing run of equal known values.
-        final = values[-1]
-        run = 0
-        for v in reversed(values):
-            if v is None or v != final:
-                break
-            run += 1
-        if final is None or run < window:
+        # Every element is known at e, and at least one is nonzero there.
+        values = {element.coefficient(e) for element in elements}
+        if len(values) > 1:
             raise NotCauchyError(
                 f"coefficient at exponent {e} did not stabilize for {window} "
                 f"consecutive indices within budget {max_index}"
             )
-        if final != 0:
-            entries[e] = final
+        entries[e] = values.pop()
     return OmegaNumber._build(entries, floor)

@@ -45,6 +45,12 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "pow(1+o, 1/0)")
         assert (code, err) == (2, "error: zero denominator at column 12\n")
 
+    def test_negative_truncation_order_column(self, capsys):
+        # The column of the order literal, not of the ``trunc`` name.
+        code, _, err = run_cli(capsys, "eval", "trunc(1+o, -2)")
+        assert code == 2
+        assert err == "error: truncation order must be non-negative at column 12\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

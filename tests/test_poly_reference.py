@@ -3,8 +3,8 @@
 Infinite integers, integration and the polynomial and rational lifts
 once each carried their own coefficient-list loops.  The ``reference_``
 functions below are those loops; the library now goes through
-``omegafield._poly`` instead, and both must agree exactly: the same
-values, text and JSON, or the same exception.
+``omegafield._poly`` and the series kernel instead, and both must agree
+exactly: the same values, text and JSON, or the same exception.
 """
 
 from fractions import Fraction
@@ -147,6 +147,7 @@ differential = settings(max_examples=100, deadline=None, derandomize=True, datab
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 # Trailing zeros exercise the normalisation.
 coefficient_lists = st.lists(rationals | st.just(Fraction(0)), max_size=9)
+short_lists = st.lists(rationals | st.just(Fraction(0)), max_size=5)
 points = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
 
 
@@ -178,7 +179,7 @@ def test_polynomial_oracle_matches_closed_form(coeffs, k, t):
 @given(
     num=coefficient_lists,
     den=coefficient_lists.filter(any),
-    ks=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+    ks=st.lists(st.integers(0, 24), min_size=1, max_size=4),
     t=points,
 )
 @example(num=[1], den=[-1, 1], ks=[0, 2], t=Fraction(1))  # pole at t
@@ -187,9 +188,23 @@ def test_rational_oracle_matches_quotient_rule(num, den, ks, t):
     f = rational_fn(num, den)
     oracle, domain = reference_rational_oracle(num, den)
     assert f.in_domain(t) == domain(t)
-    # Both cache numerators, so query the same orders in the same order.
     for k in ks:
         assert outcome(lambda: f.oracle(k, t)) == outcome(lambda: oracle(k, t))
+
+
+@settings(differential, max_examples=40)
+@given(num=short_lists, den=short_lists.filter(any), s=points, t=points)
+@example(num=[1], den=[-1, 1], s=Fraction(1, 2), t=Fraction(1))  # pole at t
+def test_rational_oracle_memo_across_points(num, den, s, t):
+    # The lift keeps one point's expansion: switching points, and asking
+    # for orders above and then below what it holds, must not show.
+    f = rational_fn(num, den)
+    oracle, _ = reference_rational_oracle(num, den)
+    for point in (s, t, s):
+        for k in (0, 3, 1, 9, 24, 2, 17, 0):
+            assert outcome(lambda: f.oracle(k, point)) == outcome(
+                lambda: oracle(k, point)
+            )
 
 
 @differential

@@ -18,9 +18,14 @@ from omegafield import (
     S,
     ZERO,
     cauchy_limit,
+    evaluate,
     expand_rational,
+    lift_eval,
+    ns_diff_check,
     o,
     omega,
+    parse,
+    polynomial_fn,
 )
 from conftest import random_infinitesimal, random_omega, random_rational
 
@@ -390,6 +395,16 @@ class TestCauchyLimit:
         limit = cauchy_limit(elements.__getitem__, window=3, max_index=5, depth=16)
         assert limit == OmegaNumber([(0, 1), (-1, 2)], floor=-7)
 
+    def test_evaluates_only_the_final_window(self):
+        calls = []
+
+        def seq(n):
+            calls.append(n)
+            return ONE + o
+
+        cauchy_limit(seq, window=3, max_index=9, depth=4)
+        assert calls == [7, 8, 9]
+
 
 class TestHash:
     def test_standard_value_hashes_as_its_rational(self):
@@ -561,3 +576,22 @@ class TestJson:
         truncated = OmegaNumber([(0, 1)], floor=-4)
         assert OmegaNumber.from_json(truncated.to_json()) == truncated
         assert OmegaNumber.from_json(ZERO.to_json()) == ZERO
+
+
+# One call per entry point that takes a working depth, each at ``depth``.
+_DEPTH_ENTRY_POINTS = {
+    "cauchy_limit": lambda depth: cauchy_limit(lambda n: ONE + o, 2, 3, depth),
+    "expand_rational": lambda depth: expand_rational([1], [1, -1], depth),
+    "invert": lambda depth: (ONE + o).invert(depth),
+    "lift_eval": lambda depth: lift_eval(polynomial_fn([1, 1]), ONE + o, depth),
+    "ns_diff_check": lambda depth: ns_diff_check(polynomial_fn([0, 0, 1]), 1, o, depth),
+    "evaluate": lambda depth: evaluate(parse("1 + o"), depth),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_DEPTH_ENTRY_POINTS))
+def test_depth_must_be_an_int(entry):
+    call = _DEPTH_ENTRY_POINTS[entry]
+    call(4)
+    with pytest.raises(TypeError, match="depth must be an int or None"):
+        call(2.5)
