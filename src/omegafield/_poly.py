@@ -27,10 +27,10 @@ def derive(a, k: int = 1) -> list:
     return [perm(i, k) * a[i] for i in range(k, len(a))] or [Fraction(0)]
 
 
-def evaluate(a, t, zero=Fraction(0)):
-    """Horner's scheme at t, a Fraction or a series value; ``zero`` is the
-    additive identity of t's type, so a constant comes back as that type."""
-    total = zero
+def evaluate(a, t):
+    """Horner's scheme at t, a Fraction or a series value; a series t gives
+    a series even for a constant, since ``Fraction(0) * t`` is one."""
+    total = Fraction(0)
     for c in reversed(a):
         total = total * t + c
     return total

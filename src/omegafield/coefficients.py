@@ -16,7 +16,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .rationals import as_rational, format_rational_json
+from .rationals import _as_int, as_rational, format_rational_json
 
 
 def binomial_general(alpha, k: int) -> Fraction:
@@ -25,8 +25,7 @@ def binomial_general(alpha, k: int) -> Fraction:
     Defined for any rational alpha; for integer alpha >= k it agrees with
     the ordinary binomial coefficient.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _as_int(k, "k", 0)
     alpha = as_rational(alpha)
     num = Fraction(1)
     for i in range(k):
@@ -42,9 +41,7 @@ def bernoulli(m: int) -> Fraction:
     in L (see ``integration.faulhaber``).  Values are produced by the
     recurrence sum(C(m+1, k) * B_k for k in 0..m) = 0.
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    if m == 0:
+    if _as_int(m, "m", 0) == 0:
         return Fraction(1)
     acc = Fraction(0)
     for k in range(m):
@@ -57,8 +54,8 @@ def x_coeff(p: int, n: int) -> int:
 
     Vanishes for n < p and equals p! on the diagonal n = p.
     """
-    if p < 0 or n < 0:
-        raise ValueError("indices must be non-negative")
+    _as_int(p, "indices", 0)
+    _as_int(n, "indices", 0)
     total = 0
     for k in range(p + 1):
         power = 1 if n == 0 else k**n
@@ -72,9 +69,8 @@ def k_coeff(m: int, j: int) -> int:
     The elementary symmetric polynomial e_j(1, ..., m); the empty product
     gives k_coeff(m, 0) = 1 and the full one k_coeff(m, m) = m!.
     """
-    if m < 0 or j < 0:
-        raise ValueError("indices must be non-negative")
-    if j > m:
+    _as_int(m, "indices", 0)
+    if _as_int(j, "indices", 0) > m:
         raise ValueError(f"k_coeff undefined for j={j} > m={m}")
     # Row of prod_{i=1..m} (1 + i*t), built coefficient by coefficient.
     row = [1] + [0] * j
@@ -84,28 +80,24 @@ def k_coeff(m: int, j: int) -> int:
     return row[j]
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, p: int) -> int:
     """Stirling number of the second kind, by the triangular recurrence."""
-    if n < 0 or p < 0:
-        raise ValueError("indices must be non-negative")
-    if n == 0 and p == 0:
-        return 1
-    if n == 0 or p == 0:
-        return 0
-    return p * stirling2(n - 1, p) + stirling2(n - 1, p - 1)
+    _as_int(n, "indices", 0)
+    _as_int(p, "indices", 0)
+    row = [1] + [0] * p  # S(0, d) for d = 0..p; one row per step of n
+    for _ in range(n):
+        row = [0] + [d * row[d] + row[d - 1] for d in range(1, p + 1)]
+    return row[p]
 
 
-@lru_cache(maxsize=None)
 def stirling1_unsigned(p: int, n: int) -> int:
     """Unsigned Stirling number of the first kind, by its recurrence."""
-    if p < 0 or n < 0:
-        raise ValueError("indices must be non-negative")
-    if p == 0 and n == 0:
-        return 1
-    if p == 0 or n == 0:
-        return 0
-    return (p - 1) * stirling1_unsigned(p - 1, n) + stirling1_unsigned(p - 1, n - 1)
+    _as_int(p, "indices", 0)
+    _as_int(n, "indices", 0)
+    row = [1] + [0] * n  # c(0, d) for d = 0..n; one row per step of p
+    for i in range(p):
+        row = [0] + [i * row[d] + row[d - 1] for d in range(1, n + 1)]
+    return row[n]
 
 
 # ----------------------------------------------------------------------
@@ -164,8 +156,7 @@ def d_to_D_table(max_order: int) -> CoeffTable:
     Row p holds the weights of the order-n differentials (n from p to the
     cutoff) in the order-p difference: the alternating sums divided by n!.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
+    _as_int(max_order, "max_order", 1)
     rows = tuple(
         tuple(
             Fraction(x_coeff(p, n), math.factorial(n))
@@ -183,8 +174,7 @@ def D_to_d_table(max_order: int) -> CoeffTable:
     cutoff) in the order-n differential: n! (-1)**(p-n) K(p-1, p-n) / p!,
     with a unit diagonal (the empty product).
     """
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
+    _as_int(max_order, "max_order", 1)
     rows = tuple(
         tuple(
             Fraction(

@@ -23,7 +23,7 @@ from .errors import (
     MathDomainError,
     PrecisionExhaustedError,
 )
-from .rationals import as_rational, format_rational_json
+from .rationals import _as_int, as_rational, format_rational_json
 from .series import ComparisonResult, OmegaNumber
 
 __all__ = [
@@ -55,10 +55,7 @@ class R1Point(namedtuple("R1Point", "t k")):
     __slots__ = ()
 
     def __new__(cls, t, k: int):
-        t = as_rational(t)
-        if not isinstance(k, int):
-            raise TypeError("the o-multiplier must be an integer")
-        return super().__new__(cls, t, k)
+        return super().__new__(cls, as_rational(t), _as_int(k, "the o-multiplier"))
 
     @property
     def is_nonnegative(self) -> bool:
@@ -201,8 +198,6 @@ def phi(point: R1Point) -> AlephNumber:
     """
     if not point.is_nonnegative:
         raise MathDomainError(f"{point} is not in the non-negative lattice")
-    if point.t == 0:
-        return AlephNumber((point.k,))
     return AlephNumber((Fraction(point.k), point.t))
 
 
@@ -252,10 +247,8 @@ def otimes(left: AlephNumber, right: AlephNumber) -> AlephNumber:
 
 def oplus_inductive(number: AlephNumber, steps: int) -> AlephNumber:
     """Sum with a standard natural, by repeated successor."""
-    if steps < 0:
-        raise ValueError("steps must be a natural number")
     acc = number
-    for _ in range(steps):
+    for _ in range(_as_int(steps, "steps", 0)):
         acc = successor(acc)
     return acc
 
@@ -267,10 +260,8 @@ def otimes_inductive(number: AlephNumber, factor: int) -> AlephNumber:
     the transferred sum, since adding a full infinite integer cannot be
     reached by finitely many successor steps.
     """
-    if factor < 0:
-        raise ValueError("factor must be a natural number")
     acc = ALEPH_ZERO
-    for _ in range(factor):
+    for _ in range(_as_int(factor, "factor", 0)):
         acc = oplus(acc, number)
     return acc
 

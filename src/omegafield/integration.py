@@ -18,8 +18,8 @@ from math import comb
 from . import _poly
 from .coefficients import bernoulli
 from .errors import MathDomainError
-from .rationals import as_rational
-from .series import OmegaNumber, ZERO
+from .rationals import _as_int, as_rational
+from .series import OmegaNumber
 from .integers import R1Point, embed, phi
 
 __all__ = [
@@ -61,7 +61,7 @@ class PolynomialFn:
 
     def eval_series(self, x: OmegaNumber) -> OmegaNumber:
         """Exact evaluation at a series value, by Horner's scheme."""
-        return _poly.evaluate(self._coeffs, x, ZERO)
+        return _poly.evaluate(self._coeffs, x)
 
     def __eq__(self, other):
         if not isinstance(other, PolynomialFn):
@@ -79,8 +79,7 @@ def faulhaber(j: int, degree_bound: "int | None" = DEFAULT_DEGREE_BOUND) -> Poly
     term; the Bernoulli convention used here matches the lower-exclusive
     sum, so faulhaber(j)(L) counts n = 0 .. L-1 exactly.
     """
-    if j < 0:
-        raise ValueError("power must be non-negative")
+    _as_int(j, "power", 0)
     if degree_bound is not None and j > degree_bound:
         raise MathDomainError(f"power {j} exceeds the bound {degree_bound}")
     coeffs = [Fraction(0)] * (j + 2)
@@ -130,7 +129,6 @@ def difference_equation_check(f: PolynomialFn, x1: R1Point, g0=Fraction(0)) -> b
 
 def ns_continuity_check(f: PolynomialFn, x1: R1Point, k: int, g0=Fraction(0)) -> bool:
     """Moving k lattice steps changes the integral only infinitesimally."""
-    if k < 1:
-        raise ValueError("step count must be at least 1")
+    _as_int(k, "step count", 1)
     delta = discrete_integral(f, x1.shifted(k), g0) - discrete_integral(f, x1, g0)
     return delta.is_infinitesimal

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from decimal import Decimal, localcontext
+from decimal import Decimal, Overflow, Underflow, localcontext
 from fractions import Fraction
 from math import comb, factorial
 
 from . import _poly
 from .coefficients import CoeffTable, D_to_d_table, binomial_general, d_to_D_table
-from .errors import MathDomainError
-from .rationals import as_rational, rational_pow
+from .errors import MathDomainError, PrecisionExhaustedError
+from .rationals import _as_int, as_rational, format_rational, rational_pow
 from .series import OmegaNumber, ZERO, expand_rational, o as O_UNIT, resolve_depth
 
 __all__ = [
@@ -70,9 +70,18 @@ class LiftedFunction(namedtuple("LiftedFunction", "oracle domain degree label"))
         return super().__new__(cls, oracle, domain, degree, label)
 
     def derivative_at(self, k: int, t: Fraction) -> Fraction:
+        """The oracle's k-th derivative at t; a decimal oracle whose value
+        or point leaves ``decimal``'s exponent range raises
+        PrecisionExhaustedError."""
+        _as_int(k, "derivative order", 0)
         if self.degree is not None and k > self.degree:
             return Fraction(0)
-        return self.oracle(k, t)
+        try:
+            return self.oracle(k, t)
+        except (Overflow, Underflow) as exc:
+            raise PrecisionExhaustedError(
+                f"{self.label} at {format_rational(t)} leaves the decimal exponent range"
+            ) from exc
 
     def in_domain(self, t: Fraction) -> bool:
         return self.domain(t)
@@ -80,9 +89,7 @@ class LiftedFunction(namedtuple("LiftedFunction", "oracle domain degree label"))
 
 def derivative(f: LiftedFunction, q: int = 1) -> LiftedFunction:
     """The q-th derivative: the oracle shifted by q."""
-    if q < 0:
-        raise ValueError("derivative order must be non-negative")
-    if q == 0:
+    if _as_int(q, "derivative order", 0) == 0:
         return f
     base = f.oracle
     shifted_degree = max(f.degree - q, 0) if f.degree is not None else None
@@ -132,8 +139,7 @@ def difference(
     expanded around the same standard point.  The result has order >= p
     in o: degree-(p-1) polynomials are annihilated.
     """
-    if p < 0:
-        raise ValueError("difference order must be non-negative")
+    _as_int(p, "difference order", 0)
     total = ZERO
     for k in range(p + 1):
         term = lift_eval(f, x + OmegaNumber.single(-1, k), depth)
@@ -146,8 +152,7 @@ def difference_iterated(
     f: LiftedFunction, x: OmegaNumber, p: int, depth: "int | None" = None
 ) -> OmegaNumber:
     """Order-p difference by literal recursion D g = g(x + o) - g(x)."""
-    if p < 0:
-        raise ValueError("difference order must be non-negative")
+    _as_int(p, "difference order", 0)
 
     def step(point: OmegaNumber, order: int) -> OmegaNumber:
         if order == 0:
@@ -161,8 +166,7 @@ def differential(
     f: LiftedFunction, x: OmegaNumber, n: int, depth: "int | None" = None
 ) -> OmegaNumber:
     """Leibniz differential of order n: f^(n) lifted at x, times o**n."""
-    if n < 0:
-        raise ValueError("differential order must be non-negative")
+    _as_int(n, "differential order", 0)
     value = lift_eval(derivative(f, n), x, depth)
     return value * OmegaNumber.single(-n, 1)
 
@@ -244,7 +248,7 @@ def rational_fn(num: Sequence, den: Sequence) -> LiftedFunction:
 
 def _taylor_shift(coeffs: list, t: Fraction) -> list:
     """Coefficients of the polynomial at t + o, in ascending powers of o."""
-    shifted = _poly.evaluate(coeffs, t + O_UNIT, ZERO)
+    shifted = _poly.evaluate(coeffs, t + O_UNIT)
     return [shifted.coefficient(-j) for j in range(len(coeffs))]
 
 
@@ -282,6 +286,7 @@ def power_fn(alpha) -> LiftedFunction:
 def _to_decimal(t: Fraction) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS + 10
+        ctx.traps[Underflow] = True  # a point too small raises, never rounds to 0
         return Decimal(t.numerator) / Decimal(t.denominator)
 
 
@@ -322,27 +327,25 @@ def _decimal_sin_cos(t: Fraction):
         ctx.prec = DECIMAL_DIGITS + 12
         x = _to_decimal(t) if abs(t) <= 3 else _reduce_mod_2pi(t)
         xx = x * x
-
-        i, last, sin_acc, fact, num, sign = 1, 0, x, 1, x, 1
-        while sin_acc != last:
-            last = sin_acc
-            i += 2
-            fact *= i * (i - 1)
-            num *= xx
-            sign *= -1
-            sin_acc += num / fact * sign
-
-        i, last, cos_acc, fact, num, sign = 0, 0, Decimal(1), 1, 1, 1
-        while cos_acc != last:
-            last = cos_acc
-            i += 2
-            fact *= i * (i - 1)
-            num *= xx
-            sign *= -1
-            cos_acc += num / fact * sign
-
+        sin_acc = _alternating_taylor_sum(x, 1, xx)
+        cos_acc = _alternating_taylor_sum(Decimal(1), 0, xx)
         ctx.prec = DECIMAL_DIGITS
         return +sin_acc, +cos_acc
+
+
+def _alternating_taylor_sum(first: Decimal, i: int, xx: Decimal) -> Decimal:
+    # first - first*xx/((i+1)(i+2)) + first*xx**2/((i+1)...(i+4)) - ...,
+    # summed at the current precision until the partial sums stop moving:
+    # sin from first = x, i = 1 and cos from first = 1, i = 0.
+    last, acc, fact, num, sign = 0, first, 1, first, 1
+    while acc != last:
+        last = acc
+        i += 2
+        fact *= i * (i - 1)
+        num *= xx
+        sign *= -1
+        acc += num / fact * sign
+    return acc
 
 
 def exp_fn() -> LiftedFunction:
@@ -351,6 +354,7 @@ def exp_fn() -> LiftedFunction:
     def oracle(k: int, t: Fraction) -> Fraction:
         with localcontext() as ctx:
             ctx.prec = DECIMAL_DIGITS
+            ctx.traps[Underflow] = True
             return Fraction(_to_decimal(t).exp())
 
     return LiftedFunction(oracle=oracle, label="exp")

@@ -34,6 +34,21 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _as_int(value, name: str, least: "int | None" = None) -> int:
+    """``value`` itself when it is an int of at least ``least``.
+
+    An order, index, count, exponent or floor that is not an int raises
+    TypeError; one below ``least`` raises ValueError.  ``name`` is the
+    argument the message blames.
+    """
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer")
+    if least is not None and value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}")
+    return value
+
+
 def _digits(n: int) -> str:
     """``str(n)``, also for more digits than ``sys.get_int_max_str_digits()``.
 

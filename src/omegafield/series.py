@@ -31,7 +31,7 @@ from .errors import (
     NotCauchyError,
     PrecisionExhaustedError,
 )
-from .rationals import as_rational, format_rational, format_rational_json, rational_pow
+from .rationals import _as_int, as_rational, format_rational, format_rational_json, rational_pow
 
 #: Default number of infinitesimal orders carried by truncating operations.
 DEFAULT_DEPTH = 16
@@ -81,14 +81,12 @@ class OmegaNumber:
     __slots__ = ("_coeffs", "_floor")
 
     def __init__(self, entries: EntryLike = (), floor: "int | None" = None):
-        if floor is not None and not isinstance(floor, int):
-            raise TypeError("floor must be an int or None")
+        if floor is not None:
+            _as_int(floor, "floor")
         coeffs: dict = {}
         pairs = entries.items() if isinstance(entries, Mapping) else entries
         for exponent, value in pairs:
-            if not isinstance(exponent, int):
-                raise TypeError("exponents must be integers")
-            if exponent in coeffs:
+            if _as_int(exponent, "exponent") in coeffs:
                 raise ValueError(f"duplicate exponent {exponent}")
             if floor is not None and exponent < floor:
                 raise ValueError(
@@ -113,7 +111,7 @@ class OmegaNumber:
     @classmethod
     def single(cls, exponent: int, value: RationalLike) -> "OmegaNumber":
         """Exact single-term value ``value * S**exponent``."""
-        return cls._build({exponent: as_rational(value)}, None)
+        return cls._build({_as_int(exponent, "exponent"): as_rational(value)}, None)
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> "OmegaNumber":
@@ -382,8 +380,7 @@ class OmegaNumber:
 
     def moment(self, k: int) -> "OmegaNumber":
         """The single term of order k in o, as an exact value."""
-        if k < 0:
-            raise ValueError("moment order must be non-negative")
+        _as_int(k, "moment order", 0)
         self._guard_series_in_o()
         if self._floor is not None and -k < self._floor:
             raise PrecisionExhaustedError(
@@ -399,8 +396,7 @@ class OmegaNumber:
         the omitted coefficients could be anything and the result would
         fabricate zeros.
         """
-        if n < 0:
-            raise ValueError("truncation order must be non-negative")
+        _as_int(n, "truncation order", 0)
         if self._floor is not None and self._floor > -n:
             raise PrecisionExhaustedError(
                 f"cannot truncate at order {n}: floor is {self._floor}"
@@ -503,10 +499,9 @@ class OmegaNumber:
     def from_json(cls, data: Mapping) -> "OmegaNumber":
         if data.get("kind") != "omega":
             raise ValueError("not a serialized series value")
-        floor_field = data.get("floor", "exact")
-        floor = None if floor_field == "exact" else int(floor_field)
+        floor = data.get("floor", "exact")
         entries = [(int(e), Fraction(v)) for e, v in data.get("coeffs", {}).items()]
-        return cls(entries, floor)
+        return cls(entries, None if floor == "exact" else floor)
 
 
 def _exponent_symbol(e: int):
@@ -624,9 +619,8 @@ def cauchy_limit(
     among the window's elements, since nothing below that is known in
     all of them.  Failure to stabilize raises NotCauchyError.
     """
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    if max_index < window - 1:
+    _as_int(window, "window", 1)
+    if _as_int(max_index, "max_index") < window - 1:
         raise ValueError("max_index leaves no room for a full window")
     depth = resolve_depth(depth)
     elements = [seq(n) for n in range(max_index - window + 1, max_index + 1)]

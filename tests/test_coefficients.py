@@ -124,6 +124,18 @@ class TestStirling:
             assert stirling2(n, n) == 1
             assert stirling1_unsigned(n, n) == 1
 
+    def test_long_rows_need_no_recursion(self):
+        assert stirling2(1500, 2) == 2**1499 - 1
+        assert stirling1_unsigned(1500, 1) == math.factorial(1499)
+
+    def test_float_index_is_not_served_from_an_integer_entry(self):
+        assert stirling2(4, 2) == 7
+        with pytest.raises(TypeError, match="indices must be an integer"):
+            stirling2(4.0, 2)
+        assert stirling1_unsigned(4, 2) == 11
+        with pytest.raises(TypeError, match="indices must be an integer"):
+            stirling1_unsigned(4.0, 2)
+
     def test_row_sums(self):
         # Unsigned first-kind rows sum to factorials.
         for p in range(1, 9):

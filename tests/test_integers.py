@@ -180,6 +180,7 @@ class TestBijection:
 
     def test_phi_of_pure_lattice(self):
         assert phi(R1Point(Fraction(0), 5)) == AlephNumber((5,))
+        assert phi(R1Point(0, 3)).coeffs == (Fraction(3),)
 
     def test_phi_surrogate_count(self):
         # Desk-scale surrogate: replace the infinite unit by a concrete

@@ -7,6 +7,7 @@ from omegafield import (
     OmegaNumber,
     PolynomialFn,
     R1Point,
+    S,
     ZERO,
     difference_equation_check,
     discrete_integral,
@@ -202,3 +203,8 @@ class TestPolynomialFn:
             f = random_integrand(rng, max_degree=5)
             t = random_rational(rng)
             assert f.eval_series(omega(t)) == omega(f(t))
+
+    def test_constant_at_a_series_is_a_series(self):
+        value = PolynomialFn([5]).eval_series(S)
+        assert isinstance(value, OmegaNumber)
+        assert value == omega(5)

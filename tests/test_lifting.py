@@ -1,4 +1,5 @@
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from omegafield import (
     MathDomainError,
     ONE,
     OmegaNumber,
+    PrecisionExhaustedError,
     S,
     ZERO,
     cos_fn,
@@ -31,7 +33,7 @@ from omegafield import (
     sin_fn,
 )
 from omegafield.errors import OmegaError
-from omegafield.lifting import _decimal_sin_cos
+from omegafield.lifting import DECIMAL_DIGITS, _decimal_sin_cos, _reduce_mod_2pi, _to_decimal
 from omegafield.rationals import as_rational, rational_pow
 from conftest import random_infinitesimal, random_rational
 
@@ -383,6 +385,11 @@ class TestTranscendental:
         with pytest.raises(MathDomainError):
             lift_eval(log_fn(), omega(-1) + o, 3)
 
+    @pytest.mark.parametrize("t", [10**7, -(10**7)])
+    def test_exp_outside_the_decimal_range_raises(self, t):
+        with pytest.raises(PrecisionExhaustedError, match=f"exp at {t} leaves"):
+            lift_eval(exp_fn(), omega(t), 1)
+
     def test_sin_cos_at_zero(self):
         sine = lift_eval(sin_fn(), o, 5)
         assert sine.coefficient(-1) == 1
@@ -423,14 +430,43 @@ class TestTranscendental:
 # ----------------------------------------------------------------------
 # references for deleted oracle code
 #
-# ``cos_fn`` once had its own derivative cycle and ``power_fn`` its own
-# falling-factorial loop; both are kept here verbatim, and the library
-# must return the same value or raise the same exception type.
+# ``cos_fn`` once had its own derivative cycle, ``power_fn`` its own
+# falling-factorial loop and ``_decimal_sin_cos`` one Taylor loop each for
+# sin and cos; all are kept here verbatim, and the library must return the
+# same value or raise the same exception type.
 
 
 def reference_cos_oracle(k: int, t: Fraction) -> Fraction:
     sin_t, cos_t = map(Fraction, _decimal_sin_cos(t))
     return (cos_t, -sin_t, -cos_t, sin_t)[k % 4]
+
+
+def reference_decimal_sin_cos(t: Fraction):
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS + 12
+        x = _to_decimal(t) if abs(t) <= 3 else _reduce_mod_2pi(t)
+        xx = x * x
+
+        i, last, sin_acc, fact, num, sign = 1, 0, x, 1, x, 1
+        while sin_acc != last:
+            last = sin_acc
+            i += 2
+            fact *= i * (i - 1)
+            num *= xx
+            sign *= -1
+            sin_acc += num / fact * sign
+
+        i, last, cos_acc, fact, num, sign = 0, 0, Decimal(1), 1, 1, 1
+        while cos_acc != last:
+            last = cos_acc
+            i += 2
+            fact *= i * (i - 1)
+            num *= xx
+            sign *= -1
+            cos_acc += num / fact * sign
+
+        ctx.prec = DECIMAL_DIGITS
+        return +sin_acc, +cos_acc
 
 
 def reference_power_oracle(alpha):
@@ -469,6 +505,14 @@ power_points = st.builds(
 @example(k=10, t=Fraction(200, 7))
 def test_cos_is_shifted_sin(k, t):
     assert cos_fn().derivative_at(k, t) == reference_cos_oracle(k, t)
+
+
+@reference
+@given(t=st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6)))
+@example(t=Fraction(3))  # the last point summed without reduction
+@example(t=Fraction(0))
+def test_sin_cos_digits_match_the_two_loop_sum(t):
+    assert str(_decimal_sin_cos(t)) == str(reference_decimal_sin_cos(t))
 
 
 @reference

@@ -1,10 +1,12 @@
 import functools
+import re
 from fractions import Fraction
 
 import pytest
 
 from omegafield import (
     ComparisonResult,
+    D_to_d_table,
     DivisionByZeroError,
     FractionalLeadingExponentError,
     IndistinguishableError,
@@ -14,18 +16,37 @@ from omegafield import (
     NotCauchyError,
     ONE,
     OmegaNumber,
+    PolynomialFn,
     PrecisionExhaustedError,
+    R1Point,
     S,
+    SIGMA,
     ZERO,
+    bernoulli,
+    binomial_general,
     cauchy_limit,
+    d_to_D_table,
+    derivative,
+    difference,
+    difference_iterated,
+    differential,
     evaluate,
+    exp_fn,
     expand_rational,
+    faulhaber,
+    k_coeff,
     lift_eval,
+    ns_continuity_check,
     ns_diff_check,
     o,
     omega,
+    oplus_inductive,
+    otimes_inductive,
     parse,
     polynomial_fn,
+    stirling1_unsigned,
+    stirling2,
+    x_coeff,
 )
 from conftest import random_infinitesimal, random_omega, random_rational
 
@@ -595,3 +616,85 @@ def test_depth_must_be_an_int(entry):
     call(4)
     with pytest.raises(TypeError, match="depth must be an int or None"):
         call(2.5)
+
+
+# One call per integer argument that sets an order, index, count, exponent
+# or floor, at ``n``; each accepts 2.  The second field is a value below the
+# least the argument accepts (None when every int is accepted), the third
+# the message of the ValueError it raises.
+_INTEGER_ENTRY_POINTS = {
+    "OmegaNumber floor": (lambda n: OmegaNumber([(5, 1)], n), None, None),
+    "OmegaNumber exponent": (lambda n: OmegaNumber({n: 1}), None, None),
+    "single": (lambda n: OmegaNumber.single(n, 1), None, None),
+    "from_json floor": (
+        lambda n: OmegaNumber.from_json({"kind": "omega", "coeffs": {"5": "1/1"}, "floor": n}),
+        None,
+        None,
+    ),
+    "moment": (lambda n: (ONE + o).moment(n), -1, "moment order must be non-negative"),
+    "truncate": (lambda n: (ONE + o).truncate(n), -1, "truncation order must be non-negative"),
+    "cauchy_limit window": (
+        lambda n: cauchy_limit(lambda i: ONE + o, n, 3), 0, "window must be at least 1"
+    ),
+    "cauchy_limit max_index": (lambda n: cauchy_limit(lambda i: ONE + o, 1, n), None, None),
+    "derivative_at": (
+        lambda n: polynomial_fn([1, 1]).derivative_at(n, Fraction(0)),
+        -1,
+        "derivative order must be non-negative",
+    ),
+    "derivative": (lambda n: derivative(exp_fn(), n), -1, "derivative order must be non-negative"),
+    "difference": (
+        lambda n: difference(polynomial_fn([0, 1]), ONE, n),
+        -1,
+        "difference order must be non-negative",
+    ),
+    "difference_iterated": (
+        lambda n: difference_iterated(polynomial_fn([0, 1]), ONE, n),
+        -1,
+        "difference order must be non-negative",
+    ),
+    "differential": (
+        lambda n: differential(polynomial_fn([0, 1]), ONE, n),
+        -1,
+        "differential order must be non-negative",
+    ),
+    "binomial_general": (lambda n: binomial_general(3, n), -1, "k must be non-negative"),
+    "bernoulli": (lambda n: bernoulli(n), -1, "m must be non-negative"),
+    "x_coeff p": (lambda n: x_coeff(n, 3), -1, "indices must be non-negative"),
+    "x_coeff n": (lambda n: x_coeff(3, n), -1, "indices must be non-negative"),
+    "k_coeff m": (lambda n: k_coeff(n, 1), -1, "indices must be non-negative"),
+    "k_coeff j": (lambda n: k_coeff(3, n), -1, "indices must be non-negative"),
+    "stirling2 n": (lambda n: stirling2(n, 1), -1, "indices must be non-negative"),
+    "stirling2 p": (lambda n: stirling2(3, n), -1, "indices must be non-negative"),
+    "stirling1_unsigned p": (lambda n: stirling1_unsigned(n, 1), -1, "indices must be non-negative"),
+    "stirling1_unsigned n": (lambda n: stirling1_unsigned(3, n), -1, "indices must be non-negative"),
+    "d_to_D_table": (lambda n: d_to_D_table(n), 0, "max_order must be at least 1"),
+    "D_to_d_table": (lambda n: D_to_d_table(n), 0, "max_order must be at least 1"),
+    "R1Point k": (lambda n: R1Point(1, n), None, None),
+    "oplus_inductive": (lambda n: oplus_inductive(SIGMA, n), -1, "steps must be non-negative"),
+    "otimes_inductive": (lambda n: otimes_inductive(SIGMA, n), -1, "factor must be non-negative"),
+    "faulhaber": (lambda n: faulhaber(n), -1, "power must be non-negative"),
+    "ns_continuity_check": (
+        lambda n: ns_continuity_check(PolynomialFn([0, 1]), R1Point(1, 0), n),
+        0,
+        "step count must be at least 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(3, 2), "2"], ids=repr)
+@pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRY_POINTS))
+def test_integer_argument_must_be_an_int(entry, value):
+    call = _INTEGER_ENTRY_POINTS[entry][0]
+    call(2)
+    with pytest.raises(TypeError, match="must be an integer"):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "entry", sorted(e for e, spec in _INTEGER_ENTRY_POINTS.items() if spec[1] is not None)
+)
+def test_integer_argument_below_its_least(entry):
+    call, below, message = _INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(below)
