@@ -10,16 +10,16 @@ error, 4 precision exhausted or indistinguishable.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
-# Each subcommand imports the modules it runs, and ``json`` is imported
-# only for --json, so one call loads only what it needs.
+# Each subcommand imports the modules it runs, ``json`` is imported only
+# for --json and ``argparse`` only for help or a usage error, so one call
+# loads only what it needs.
 from .errors import MathDomainError, OmegaError
-from .rationals import format_rational, format_rational_json
-from .series import DEFAULT_DEPTH, expand_rational, resolve_depth
+from .rationals import DEFAULT_DEPTH, format_rational, format_rational_json, resolve_depth
 
 
 def _depth(args) -> int:
@@ -39,6 +39,8 @@ def _rational_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
+        import argparse
+
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
@@ -46,84 +48,110 @@ def _coeff_list(text: str):
     try:
         return [Fraction(part.strip()) for part in text.split(",")]
     except (ValueError, ZeroDivisionError):
+        import argparse
+
         raise argparse.ArgumentTypeError(f"not a coefficient list: {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--depth",
-        type=int,
-        default=None,
-        help="working truncation depth (default: OMEGA_DEPTH or 16)",
-    )
-    common.add_argument(
-        "--json", action="store_true", help="emit JSON instead of text"
-    )
+#: Options every subcommand accepts, then each subcommand's help line,
+#: positionals and own options, each option as its ``add_argument``
+#: keywords.  build_parser() and _parse_plain() both read these tables.
+_COMMON = {
+    "--depth": dict(dest="depth", type=int, default=None,
+                    help="working truncation depth (default: OMEGA_DEPTH or 16)"),
+    "--json": dict(dest="json", action="store_true", default=False,
+                   help="emit JSON instead of text"),
+}
+_SUBCOMMANDS = {
+    "eval": ("evaluate an expression", ("expression",), {}),
+    "compare": ("compare two expressions", ("left", "right"), {}),
+    "difftable": ("conversion table between the two differential families", (), {
+        "--dir": dict(dest="direction", choices=("d_to_D", "D_to_d"), default="d_to_D"),
+        "--max": dict(dest="max_order", type=int, default=4),
+    }),
+    "integrate": ("discrete integral of a polynomial up to t + k*o", (), {
+        "--poly": dict(dest="poly", type=_coeff_list, required=True,
+                       help="comma-separated coefficients, constant first"),
+        "--t": dict(dest="t", type=_rational_arg, required=True),
+        "--k": dict(dest="k", type=int, default=0),
+        "--g0": dict(dest="g0", type=_rational_arg, default=Fraction(0)),
+    }),
+    "coeffs": ("exact coefficient families (x: alternating sums, k: symmetric products)", (), {
+        "--family": dict(dest="family", choices=("x", "k"), default="x"),
+        "--max": dict(dest="max_order", type=int, default=6),
+    }),
+    "expand": ("expand a quotient of polynomials in o into a series", (), {
+        "--num": dict(dest="num", type=_coeff_list, required=True),
+        "--den": dict(dest="den", type=_coeff_list, required=True),
+    }),
+}
 
+
+def build_parser():
+    """The full ``argparse.ArgumentParser``, the one source of help and
+    error text."""
+    import argparse
+
+    common = argparse.ArgumentParser(add_help=False)
+    for flag, spec in _COMMON.items():
+        common.add_argument(flag, **spec)
     parser = argparse.ArgumentParser(
         prog="omega",
         description="Exact arithmetic on series in the infinite unit S "
         "and the infinitesimal o = 1/S.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser(
-        "eval", parents=[common], help="evaluate an expression"
-    )
-    p_eval.add_argument("expression")
-
-    p_cmp = sub.add_parser(
-        "compare", parents=[common], help="compare two expressions"
-    )
-    p_cmp.add_argument("left")
-    p_cmp.add_argument("right")
-
-    p_table = sub.add_parser(
-        "difftable",
-        parents=[common],
-        help="conversion table between the two differential families",
-    )
-    p_table.add_argument(
-        "--dir",
-        dest="direction",
-        choices=("d_to_D", "D_to_d"),
-        default="d_to_D",
-    )
-    p_table.add_argument("--max", dest="max_order", type=int, default=4)
-
-    p_int = sub.add_parser(
-        "integrate",
-        parents=[common],
-        help="discrete integral of a polynomial up to t + k*o",
-    )
-    p_int.add_argument(
-        "--poly",
-        type=_coeff_list,
-        required=True,
-        help="comma-separated coefficients, constant first",
-    )
-    p_int.add_argument("--t", type=_rational_arg, required=True)
-    p_int.add_argument("--k", type=int, default=0)
-    p_int.add_argument("--g0", type=_rational_arg, default=Fraction(0))
-
-    p_coeffs = sub.add_parser(
-        "coeffs",
-        parents=[common],
-        help="exact coefficient families (x: alternating sums, k: symmetric products)",
-    )
-    p_coeffs.add_argument("--family", choices=("x", "k"), default="x")
-    p_coeffs.add_argument("--max", dest="max_order", type=int, default=6)
-
-    p_expand = sub.add_parser(
-        "expand",
-        parents=[common],
-        help="expand a quotient of polynomials in o into a series",
-    )
-    p_expand.add_argument("--num", type=_coeff_list, required=True)
-    p_expand.add_argument("--den", type=_coeff_list, required=True)
-
+    for name, (help_text, positionals, options) in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        for dest in positionals:
+            command.add_argument(dest)
+        for flag, spec in options.items():
+            command.add_argument(flag, **spec)
     return parser
+
+
+def _parse_plain(argv):
+    """The namespace ``build_parser().parse_args(argv)`` builds, read from
+    the same tables without ``argparse``; None wherever argparse might
+    decide differently: help, ``--``, an abbreviated or unknown flag, any
+    other token starting with "-", a missing or extra argument, a value
+    its converter or choices reject, or ``--json=...``."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, positionals, own = _SUBCOMMANDS[argv[0]]
+    options = {**_COMMON, **own}
+    values = {"command": argv[0]}
+    values.update((spec["dest"], spec.get("default")) for spec in options.values())
+    given, free = set(), []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            free.append(token)
+            continue
+        flag, eq, text = token.partition("=")
+        spec = options.get(flag)
+        if spec is None or (eq and "action" in spec):
+            return None
+        if "action" in spec:  # store_true
+            values[spec["dest"]] = True
+        else:
+            if not eq:
+                text = next(tokens, "-")  # a missing value reads as "-"
+                if text.startswith("-"):
+                    return None
+            try:
+                value = spec.get("type", str)(text)
+            except Exception:  # whatever it is, argparse reports or raises it
+                return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+            values[spec["dest"]] = value
+        given.add(flag)
+    missing = {flag for flag, spec in own.items() if spec.get("required")} - given
+    if missing or len(free) != len(positionals):
+        return None
+    values.update(zip(positionals, free))
+    return SimpleNamespace(**values)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -224,6 +252,8 @@ def _cmd_coeffs(args, depth: int) -> int:
 
 
 def _cmd_expand(args, depth: int) -> int:
+    from .series import expand_rational
+
     value = expand_rational(args.num, args.den, depth)
     _emit(args, value.to_json(), str(value))
     return 0
@@ -240,8 +270,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args, _depth(args))
     except OmegaError as exc:

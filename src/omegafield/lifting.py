@@ -19,7 +19,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from decimal import Decimal, Overflow, Underflow, localcontext
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, log10
 
 from . import _poly
 from .coefficients import CoeffTable, D_to_d_table, binomial_general, d_to_D_table
@@ -78,6 +78,11 @@ class LiftedFunction(namedtuple("LiftedFunction", "oracle domain degree label"))
             return Fraction(0)
         try:
             return self.oracle(k, t)
+        except _PointOutOfRange as exc:
+            sign = "-" if t < 0 else ""
+            raise PrecisionExhaustedError(
+                f"{self.label} at about {sign}10^{exc.args[0]} leaves the decimal exponent range"
+            ) from None
         except (Overflow, Underflow) as exc:
             raise PrecisionExhaustedError(
                 f"{self.label} at {format_rational(t)} leaves the decimal exponent range"
@@ -283,10 +288,26 @@ def power_fn(alpha) -> LiftedFunction:
 # converted to exact rationals before entering series arithmetic.
 
 
+class _PointOutOfRange(ArithmeticError):
+    """The point certainly overflows or underflows the decimal context;
+    ``args[0]`` is about log10|t|."""
+
+
+def _check_range(t: Fraction, ctx) -> None:
+    # log2|t| lies strictly between bits - 1 and bits + 1.  Checked before
+    # Decimal(int), whose cost is quadratic in the number of digits.
+    if t == 0:
+        return
+    bits = t.numerator.bit_length() - t.denominator.bit_length()
+    if (bits - 1) * log10(2) > ctx.Emax + 2 or (bits + 1) * log10(2) < ctx.Etiny() - 2:
+        raise _PointOutOfRange(round(bits * log10(2)))
+
+
 def _to_decimal(t: Fraction) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS + 10
         ctx.traps[Underflow] = True  # a point too small raises, never rounds to 0
+        _check_range(t, ctx)
         return Decimal(t.numerator) / Decimal(t.denominator)
 
 
@@ -311,6 +332,7 @@ def _reduce_mod_2pi(t: Fraction) -> Decimal:
     out with at least one extra digit per integer digit of t.
     """
     with localcontext() as ctx:
+        _check_range(t, ctx)
         whole_digits = Decimal(t.numerator).adjusted() - Decimal(t.denominator).adjusted() + 2
         ctx.prec = DECIMAL_DIGITS + 12 + whole_digits
         x = Decimal(t.numerator) / Decimal(t.denominator)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from .errors import (
     DivisionByZeroError,
     IrrationalLeadingCoefficientError,
+    MathDomainError,
     NegativeBaseError,
 )
 
@@ -47,6 +48,26 @@ def _as_int(value, name: str, least: "int | None" = None) -> int:
         bound = "non-negative" if least == 0 else f"at least {least}"
         raise ValueError(f"{name} must be {bound}")
     return value
+
+
+#: Default number of infinitesimal orders carried by truncating operations.
+DEFAULT_DEPTH = 16
+
+
+def resolve_depth(depth: "int | None", name: str = "depth") -> int:
+    """The working depth: ``DEFAULT_DEPTH`` for None, else ``depth`` itself.
+
+    A depth that is not an int raises TypeError.  A negative depth would
+    put the floor above the standard part and silently drop it, so it
+    raises MathDomainError; ``name`` is the setting the message blames.
+    """
+    if depth is None:
+        return DEFAULT_DEPTH
+    if not isinstance(depth, int):
+        raise TypeError(f"{name} must be an int or None")
+    if depth < 0:
+        raise MathDomainError(f"{name} must be non-negative")
+    return depth
 
 
 def _digits(n: int) -> str:

@@ -31,27 +31,8 @@ from .errors import (
     NotCauchyError,
     PrecisionExhaustedError,
 )
-from .rationals import _as_int, as_rational, format_rational, format_rational_json, rational_pow
-
-#: Default number of infinitesimal orders carried by truncating operations.
-DEFAULT_DEPTH = 16
-
-
-def resolve_depth(depth: "int | None", name: str = "depth") -> int:
-    """The working depth: ``DEFAULT_DEPTH`` for None, else ``depth`` itself.
-
-    A depth that is not an int raises TypeError.  A negative depth would
-    put the floor above the standard part and silently drop it, so it
-    raises MathDomainError; ``name`` is the setting the message blames.
-    """
-    if depth is None:
-        return DEFAULT_DEPTH
-    if not isinstance(depth, int):
-        raise TypeError(f"{name} must be an int or None")
-    if depth < 0:
-        raise MathDomainError(f"{name} must be non-negative")
-    return depth
-
+from .rationals import DEFAULT_DEPTH, _as_int, as_rational, format_rational, resolve_depth
+from .rationals import format_rational_json, rational_pow
 
 RationalLike = "int | Fraction | str"
 EntryLike = "Mapping[int, RationalLike] | Iterable[tuple]"
@@ -156,6 +137,7 @@ class OmegaNumber:
 
     def coefficient(self, exponent: int) -> Fraction:
         """Exact coefficient at ``exponent``; raises below the floor."""
+        _as_int(exponent, "exponent")
         if self._floor is not None and exponent < self._floor:
             raise PrecisionExhaustedError(
                 f"coefficient at exponent {exponent} is below the floor {self._floor}"
@@ -164,6 +146,7 @@ class OmegaNumber:
 
     def known_coefficient(self, exponent: int):
         """Coefficient at ``exponent`` or None when it is not known."""
+        _as_int(exponent, "exponent")
         if self._floor is not None and exponent < self._floor:
             return None
         return self._coeffs.get(exponent, Fraction(0))

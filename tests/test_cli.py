@@ -5,8 +5,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from omegafield import AlephNumber, CoeffTable, OmegaNumber
+from omegafield import AlephNumber, CoeffTable, OmegaNumber, cli
 from omegafield.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -297,3 +298,248 @@ class TestClosedStdout:
             os.close(write_end)
         assert done.stderr == b""
         assert done.returncode == 1
+
+
+#: What argparse prints, and the exit code, for help, usage errors and an
+#: abbreviated flag, at a terminal 80 columns wide (Python 3.10 and 3.11).
+#: The parser is built from ``cli``'s argument table, so these pin the
+#: table against drift.
+ARGPARSE_TEXT = [
+    (["--help"], 0,
+     'usage: omega [-h] {eval,compare,difftable,integrate,coeffs,expand} ...\n'
+     '\n'
+     'Exact arithmetic on series in the infinite unit S and the infinitesimal o =\n'
+     '1/S.\n'
+     '\n'
+     'positional arguments:\n'
+     '  {eval,compare,difftable,integrate,coeffs,expand}\n'
+     '    eval                evaluate an expression\n'
+     '    compare             compare two expressions\n'
+     '    difftable           conversion table between the two differential families\n'
+     '    integrate           discrete integral of a polynomial up to t + k*o\n'
+     '    coeffs              exact coefficient families (x: alternating sums, k:\n'
+     '                        symmetric products)\n'
+     '    expand              expand a quotient of polynomials in o into a series\n'
+     '\n'
+     'options:\n'
+     '  -h, --help            show this help message and exit\n',
+     "",
+    ),
+    (["eval", "--help"], 0,
+     'usage: omega eval [-h] [--depth DEPTH] [--json] expression\n'
+     '\n'
+     'positional arguments:\n'
+     '  expression\n'
+     '\n'
+     'options:\n'
+     '  -h, --help     show this help message and exit\n'
+     '  --depth DEPTH  working truncation depth (default: OMEGA_DEPTH or 16)\n'
+     '  --json         emit JSON instead of text\n',
+     "",
+    ),
+    (["compare", "--help"], 0,
+     'usage: omega compare [-h] [--depth DEPTH] [--json] left right\n'
+     '\n'
+     'positional arguments:\n'
+     '  left\n'
+     '  right\n'
+     '\n'
+     'options:\n'
+     '  -h, --help     show this help message and exit\n'
+     '  --depth DEPTH  working truncation depth (default: OMEGA_DEPTH or 16)\n'
+     '  --json         emit JSON instead of text\n',
+     "",
+    ),
+    (["difftable", "--help"], 0,
+     'usage: omega difftable [-h] [--depth DEPTH] [--json] [--dir {d_to_D,D_to_d}]\n'
+     '                       [--max MAX_ORDER]\n'
+     '\n'
+     'options:\n'
+     '  -h, --help            show this help message and exit\n'
+     '  --depth DEPTH         working truncation depth (default: OMEGA_DEPTH or 16)\n'
+     '  --json                emit JSON instead of text\n'
+     '  --dir {d_to_D,D_to_d}\n'
+     '  --max MAX_ORDER\n',
+     "",
+    ),
+    (["integrate", "--help"], 0,
+     'usage: omega integrate [-h] [--depth DEPTH] [--json] --poly POLY --t T [--k K]\n'
+     '                       [--g0 G0]\n'
+     '\n'
+     'options:\n'
+     '  -h, --help     show this help message and exit\n'
+     '  --depth DEPTH  working truncation depth (default: OMEGA_DEPTH or 16)\n'
+     '  --json         emit JSON instead of text\n'
+     '  --poly POLY    comma-separated coefficients, constant first\n'
+     '  --t T\n'
+     '  --k K\n'
+     '  --g0 G0\n',
+     "",
+    ),
+    (["coeffs", "--help"], 0,
+     'usage: omega coeffs [-h] [--depth DEPTH] [--json] [--family {x,k}]\n'
+     '                    [--max MAX_ORDER]\n'
+     '\n'
+     'options:\n'
+     '  -h, --help       show this help message and exit\n'
+     '  --depth DEPTH    working truncation depth (default: OMEGA_DEPTH or 16)\n'
+     '  --json           emit JSON instead of text\n'
+     '  --family {x,k}\n'
+     '  --max MAX_ORDER\n',
+     "",
+    ),
+    (["expand", "--help"], 0,
+     'usage: omega expand [-h] [--depth DEPTH] [--json] --num NUM --den DEN\n'
+     '\n'
+     'options:\n'
+     '  -h, --help     show this help message and exit\n'
+     '  --depth DEPTH  working truncation depth (default: OMEGA_DEPTH or 16)\n'
+     '  --json         emit JSON instead of text\n'
+     '  --num NUM\n'
+     '  --den DEN\n',
+     "",
+    ),
+    ([], 2,
+     "",
+     'usage: omega [-h] {eval,compare,difftable,integrate,coeffs,expand} ...\n'
+     'omega: error: the following arguments are required: command\n',
+    ),
+    (["bogus"], 2,
+     "",
+     'usage: omega [-h] {eval,compare,difftable,integrate,coeffs,expand} ...\n'
+     "omega: error: argument command: invalid choice: 'bogus' (choose from 'eval', "
+     "'compare', 'difftable', 'integrate', 'coeffs', 'expand')\n",
+    ),
+    (["eval"], 2,
+     "",
+     'usage: omega eval [-h] [--depth DEPTH] [--json] expression\n'
+     'omega eval: error: the following arguments are required: expression\n',
+    ),
+    (["difftable", "--dir", "x"], 2,
+     "",
+     'usage: omega difftable [-h] [--depth DEPTH] [--json] [--dir {d_to_D,D_to_d}]\n'
+     '                       [--max MAX_ORDER]\n'
+     "omega difftable: error: argument --dir: invalid choice: 'x' "
+     "(choose from 'd_to_D', 'D_to_d')\n",
+    ),
+    (["integrate", "--poly", "x", "--t", "1"], 2,
+     "",
+     'usage: omega integrate [-h] [--depth DEPTH] [--json] --poly POLY --t T [--k K]\n'
+     '                       [--g0 G0]\n'
+     "omega integrate: error: argument --poly: not a coefficient list: 'x'\n",
+    ),
+    (["eval", "o", "--dep", "3"], 0,
+     'o\n',
+     "",
+    ),
+]
+
+
+class TestArgparseText:
+    @pytest.mark.parametrize(
+        "argv, code, out, err", ARGPARSE_TEXT,
+        ids=[" ".join(argv) or "no-arguments" for argv, *_ in ARGPARSE_TEXT],
+    )
+    def test_literal_output(self, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        assert (status, *capsys.readouterr()) == (code, out, err)
+
+
+#: Values each option accepts, for argv the fast path should take.
+GOOD_VALUES = {
+    "--depth": ["0", "4", " 12"], "--dir": ["d_to_D", "D_to_d"], "--max": ["0", "3", "8"],
+    "--poly": ["0,1", "1", "1/2, -3"], "--num": ["1,1", "2"], "--den": ["0,1", "1,-1"],
+    "--t": ["1", "3/2", "0"], "--k": ["0", "4"], "--g0": ["1/2", "5"], "--family": ["x", "k"],
+    "--json": ["1"],
+}
+#: Tokens argparse reads as flags or negative numbers, values a converter
+#: or a choice list rejects, and empty strings.
+HOSTILE = [
+    "-1", "-5,3", "-1/2", "-o", "-", "--", "-h", "--help", "--dep", "--js", "--bogus",
+    "--json=1", "x/0", "1/0", "x", "", "bogus",
+]
+ALL_FLAGS = sorted(GOOD_VALUES)
+ALL_VALUES = sorted({value for values in GOOD_VALUES.values() for value in values})
+
+
+@st.composite
+def argvs(draw):
+    """A call of one subcommand, its values mostly good ones.  Now and then
+    a value gets a "-" in front, becomes another option's value or a
+    hostile token, and a hostile token or a flag is inserted or a token
+    deleted."""
+
+    def value(good):
+        kind = draw(st.sampled_from(["good"] * 4 + ["negated", "other", "hostile"]))
+        if kind == "other":
+            return draw(st.sampled_from(ALL_VALUES))
+        if kind == "hostile":
+            return draw(st.sampled_from(HOSTILE))
+        return ("-" if kind == "negated" else "") + draw(st.sampled_from(good))
+
+    command = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
+    _, positionals, own = cli._SUBCOMMANDS[command]
+    pieces = [[value(["o", "sqrt(1+o)", "S", "1/2"])] for _ in positionals]
+    for flag, spec in {**cli._COMMON, **own}.items():
+        form = draw(st.sampled_from(["absent", "separate", "separate", "joined"]))
+        if form == "separate":
+            pieces.append([flag] if "action" in spec else [flag, value(GOOD_VALUES[flag])])
+        elif form == "joined":
+            pieces.append([f"{flag}={value(GOOD_VALUES[flag])}"])
+    argv = [command] + [token for piece in draw(st.permutations(pieces)) for token in piece]
+    at = draw(st.integers(0, len(argv) - 1))
+    edit = draw(st.sampled_from(["none", "none", "none", "insert", "delete"]))
+    if edit == "insert":
+        argv.insert(at, draw(st.sampled_from(HOSTILE + ALL_FLAGS)))
+    elif edit == "delete":
+        del argv[at]
+    return argv
+
+
+class TestPlainParse:
+    """``cli._parse_plain`` answers a plain call without argparse, and only
+    where argparse would build the same namespace."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(argvs())
+    def test_agrees_with_argparse_whenever_it_answers(self, argv):
+        plain = cli._parse_plain(argv)
+        if plain is not None:
+            try:
+                expected = vars(cli.build_parser().parse_args(argv))
+            except SystemExit:
+                expected = "a usage error"
+            assert vars(plain) == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "sqrt(1+o)", "--depth", "4"],
+            ["compare", "o", "--json", "1/1000000"],
+            ["difftable", "--dir=D_to_d", "--max", "4"],
+            ["integrate", "--poly=-5,3", "--t", "3/2", "--k", "2", "--g0", "1/2", "--json"],
+            ["coeffs", "--family", "k", "--max", "3", "--max", "2"],
+            ["expand", "--num", "1,1", "--den", "0,1", "--depth=3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_takes_plain_calls(self, argv):
+        plain = cli._parse_plain(argv)
+        assert vars(plain) == vars(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["bogus"], ["eval"], ["eval", "o", "p"], ["eval", "-h"], ["eval", "--", "-o"],
+            ["eval", "o", "--dep", "3"], ["eval", "o", "--depth"], ["eval", "o", "--depth", "x"],
+            ["eval", "o", "--json=1"], ["difftable", "--dir", "x"], ["expand", "--num", "1"],
+            ["integrate", "--poly", "1", "--t", "0", "--k", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no-arguments",
+    )
+    def test_leaves_the_rest_to_argparse(self, argv):
+        assert cli._parse_plain(argv) is None

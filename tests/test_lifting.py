@@ -390,6 +390,25 @@ class TestTranscendental:
         with pytest.raises(PrecisionExhaustedError, match=f"exp at {t} leaves"):
             lift_eval(exp_fn(), omega(t), 1)
 
+    @pytest.mark.parametrize(
+        "f, t, power",
+        [
+            (exp_fn(), Fraction(10**1000100), "10^1000100"),
+            (exp_fn(), Fraction(-(10**1000100)), "-10^1000100"),
+            (log_fn(), Fraction(1, 10**1000100), "10^-1000100"),
+        ],
+        ids=("exp-huge", "exp-huge-negative", "log-tiny"),
+    )
+    def test_point_beyond_the_decimal_range_raises_at_once(self, f, t, power):
+        # Converting the million-digit point, or printing it, takes seconds.
+        start = time.perf_counter()
+        with pytest.raises(PrecisionExhaustedError) as caught:
+            f.derivative_at(0, t)
+        assert time.perf_counter() - start < 2
+        assert str(caught.value) == (
+            f"{f.label} at about {power} leaves the decimal exponent range"
+        )
+
     def test_sin_cos_at_zero(self):
         sine = lift_eval(sin_fn(), o, 5)
         assert sine.coefficient(-1) == 1

@@ -1,6 +1,7 @@
 """The package namespace loads its modules on first use, and each CLI
 subcommand imports only the modules it runs."""
 
+import ast
 import importlib
 import json
 import os
@@ -109,7 +110,6 @@ def modules_loaded_by(*argv) -> set:
 
 CORE = {
     "omegafield", "omegafield.cli", "omegafield.errors", "omegafield.rationals",
-    "omegafield.series",
 }
 NOT_ON_THE_SERIES_PATH = {
     "omegafield.lifting", "omegafield.integration", "omegafield.integers",
@@ -181,3 +181,49 @@ class TestColdStartImports:
             assert getattr(lifting, name) is getattr(coefficients, name)
             assert name in lifting.__all__
             assert omegafield._HOME[name] == "coefficients"
+
+
+def exit_output_and_modules(*argv):
+    """Like ``output_and_modules``, for a call that argparse ends: the exit
+    code, what was printed to stdout and stderr, and the modules loaded."""
+    out = run_python(
+        "import contextlib, io, sys\n"
+        "from omegafield import cli\n"
+        "sink = io.StringIO()\n"
+        "with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):\n"
+        "    try:\n"
+        f"        cli.main({list(argv)!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(code, repr(sink.getvalue()))\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    status, modules = out.splitlines()
+    code, printed = status.split(" ", 1)
+    return int(code), ast.literal_eval(printed), set(modules.split())
+
+
+class TestArgparseOnlyForHelpAndErrors:
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=("text", "json"))
+    @pytest.mark.parametrize("argv", README_CALLS, ids=lambda argv: argv[0])
+    def test_plain_call_loads_no_argparse(self, argv, json_flag):
+        printed, loaded = output_and_modules(*argv, *json_flag)
+        assert printed
+        assert "argparse" not in loaded
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("--help",), 0),
+            (("coeffs", "--help"), 0),
+            ((), 2),
+            (("eval",), 2),
+            (("difftable", "--dir", "x"), 2),
+        ],
+        ids=lambda v: (" ".join(v) or "no-arguments") if isinstance(v, tuple) else None,
+    )
+    def test_help_and_usage_errors_load_argparse(self, argv, code):
+        status, printed, loaded = exit_output_and_modules(*argv)
+        assert "argparse" in loaded
+        assert status == code
+        assert printed.startswith("usage: omega")

@@ -631,6 +631,8 @@ _INTEGER_ENTRY_POINTS = {
         None,
         None,
     ),
+    "coefficient": (lambda n: ONE.coefficient(n), None, None),
+    "known_coefficient": (lambda n: (ONE + o).known_coefficient(n), None, None),
     "moment": (lambda n: (ONE + o).moment(n), -1, "moment order must be non-negative"),
     "truncate": (lambda n: (ONE + o).truncate(n), -1, "truncation order must be non-negative"),
     "cauchy_limit window": (
