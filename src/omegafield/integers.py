@@ -17,7 +17,6 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from . import _poly
 from .errors import (
     IndistinguishableError,
     MathDomainError,
@@ -107,27 +106,22 @@ class AlephNumber:
     natural entry, or degree >= 1 with an integer constant term and a
     positive leading coefficient.  Interior coefficients may be any
     rationals; they arise from counts such as t*S + k with fractional t.
+    The number keeps the exact series it denotes, which ``embed`` returns.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_value",)
 
     def __init__(self, coeffs: Sequence = (0,)):
-        values = _poly.normalize(coeffs)
-        if len(values) == 1:
-            if values[0].denominator != 1 or values[0] < 0:
-                raise MathDomainError(
-                    f"{values[0]} is not a natural number"
-                )
-        else:
-            if values[0].denominator != 1:
-                raise MathDomainError(
-                    f"constant term {values[0]} must be an integer"
-                )
-            if values[-1] <= 0:
-                raise MathDomainError(
-                    f"leading coefficient {values[-1]} must be positive"
-                )
-        self._coeffs = tuple(values)
+        self._value = _admissible(
+            OmegaNumber._build(dict(enumerate(map(as_rational, coeffs))), None)
+        )
+
+    @classmethod
+    def _of(cls, value: OmegaNumber) -> "AlephNumber":
+        # The number whose series is value, a polynomial in S.
+        self = object.__new__(cls)
+        self._value = _admissible(value)
+        return self
 
     @classmethod
     def from_int(cls, n: int) -> "AlephNumber":
@@ -136,51 +130,57 @@ class AlephNumber:
     @property
     def coeffs(self) -> tuple:
         """Coefficients, constant term first."""
-        return self._coeffs
+        return tuple(_coefficient_list(self._value))
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return max(self._value.support, default=0)
 
     @property
     def is_standard(self) -> bool:
-        return self.degree == 0
+        return self._value.is_standard
 
     def coefficient(self, k: int) -> Fraction:
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else Fraction(0)
+        return self._value.coefficient(k)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = AlephNumber.from_int(other) if other >= 0 else None
-            if other is None:
-                return False
-        if not isinstance(other, AlephNumber):
+        if isinstance(other, AlephNumber):
+            other = other._value
+        elif not isinstance(other, int):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._value == other
 
     def __hash__(self):
         # A standard integer equals its int, so it hashes as one.
-        if self.is_standard:
-            return hash(self._coeffs[0])
-        return hash(self._coeffs)
+        return hash(self._value)
 
     def __str__(self):
-        return str(embed(self))
+        return str(self._value)
 
     def __repr__(self):
         return f"AlephNumber({self})"
 
     def to_json(self) -> dict:
-        return {
-            "kind": "aleph",
-            "coeffs": [format_rational_json(c) for c in self._coeffs],
-        }
+        return {"kind": "aleph", "coeffs": [format_rational_json(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, data) -> "AlephNumber":
         if data.get("kind") != "aleph":
             raise ValueError("not a serialized infinite integer")
         return cls([Fraction(c) for c in data["coeffs"]])
+
+
+def _admissible(value: OmegaNumber) -> OmegaNumber:
+    # value itself when it is the series of an admissible coefficient list.
+    degree = max(value.support, default=0)
+    constant, lead = value.coefficient(0), value.coefficient(degree)
+    if degree == 0 and (constant.denominator != 1 or constant < 0):
+        raise MathDomainError(f"{constant} is not a natural number")
+    if constant.denominator != 1:
+        raise MathDomainError(f"constant term {constant} must be an integer")
+    if degree and lead <= 0:
+        raise MathDomainError(f"leading coefficient {lead} must be positive")
+    return value
 
 
 ALEPH_ZERO = AlephNumber((0,))
@@ -207,8 +207,7 @@ def psi(number: AlephNumber) -> R1Point:
         raise MathDomainError(
             "only degree <= 1 integers correspond to lattice points"
         )
-    constant = number.coefficient(0)
-    return R1Point(number.coefficient(1), int(constant))
+    return R1Point(number.coefficient(1), int(number.coefficient(0)))
 
 
 def count_interval(interval: R1Interval) -> AlephNumber:
@@ -225,24 +224,24 @@ def count_interval(interval: R1Interval) -> AlephNumber:
 
 def successor(number: AlephNumber) -> AlephNumber:
     """The next integer: constant term raised by one."""
-    return AlephNumber((number.coefficient(0) + 1,) + number.coeffs[1:])
+    return AlephNumber._of(embed(number) + 1)
 
 
 def predecessor(number: AlephNumber) -> AlephNumber:
     """The previous integer; zero has none."""
     if number == ALEPH_ZERO:
         raise MathDomainError("zero has no predecessor")
-    return AlephNumber((number.coefficient(0) - 1,) + number.coeffs[1:])
+    return AlephNumber._of(embed(number) - 1)
 
 
 def oplus(left: AlephNumber, right: AlephNumber) -> AlephNumber:
     """Closed-form sum: the series sum of the embedded integers."""
-    return AlephNumber(_coefficient_list(embed(left) + embed(right)))
+    return AlephNumber._of(embed(left) + embed(right))
 
 
 def otimes(left: AlephNumber, right: AlephNumber) -> AlephNumber:
     """Closed-form product: the series product of the embedded integers."""
-    return AlephNumber(_coefficient_list(embed(left) * embed(right)))
+    return AlephNumber._of(embed(left) * embed(right))
 
 
 def oplus_inductive(number: AlephNumber, steps: int) -> AlephNumber:
@@ -273,9 +272,7 @@ def compare_aleph(left: AlephNumber, right: AlephNumber) -> ComparisonResult:
 
 def embed(number: AlephNumber) -> OmegaNumber:
     """The integer as an exact series value; a ring homomorphism."""
-    return OmegaNumber(
-        [(i, c) for i, c in enumerate(number.coeffs) if c != 0]
-    )
+    return number._value
 
 
 def integer_truncation(value: OmegaNumber) -> AlephNumber:

@@ -14,17 +14,18 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
 
-from . import _poly
 from .coefficients import bernoulli
 from .errors import MathDomainError
 from .rationals import _as_int, as_rational
-from .series import OmegaNumber
-from .integers import R1Point, embed, phi
+from .series import S, OmegaNumber
+
+if TYPE_CHECKING:
+    from .integers import R1Point
 
 __all__ = [
     "PolynomialFn",
-    "DEFAULT_DEGREE_BOUND",
     "faulhaber",
     "discrete_integral",
     "riemann",
@@ -36,13 +37,16 @@ DEFAULT_DEGREE_BOUND = 12
 
 
 class PolynomialFn:
-    """Polynomial integrand with exact rational coefficients."""
+    """The library's dense polynomial in t: exact rational coefficients,
+    constant first, trailing zeros stripped (zero keeps one 0)."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Sequence, degree_bound: "int | None" = DEFAULT_DEGREE_BOUND):
-        values = _poly.normalize(coeffs)
-        if degree_bound is not None and len(values) - 1 > degree_bound:
+        values = [as_rational(c) for c in coeffs] or [Fraction(0)]
+        while len(values) > 1 and values[-1] == 0:
+            values.pop()
+        if degree_bound is not None and len(values) - 1 > _as_int(degree_bound, "degree bound"):
             raise MathDomainError(
                 f"degree {len(values) - 1} exceeds the bound {degree_bound}"
             )
@@ -57,11 +61,15 @@ class PolynomialFn:
         return len(self._coeffs) - 1
 
     def __call__(self, t):
-        return _poly.evaluate(self._coeffs, as_rational(t))
+        return self.eval_series(as_rational(t))
 
     def eval_series(self, x: OmegaNumber) -> OmegaNumber:
-        """Exact evaluation at a series value, by Horner's scheme."""
-        return _poly.evaluate(self._coeffs, x)
+        """Horner's scheme at x, a Fraction or a series value; a series x
+        gives a series even for a constant, since ``Fraction(0) * x`` is one."""
+        total = Fraction(0)
+        for c in reversed(self._coeffs):
+            total = total * x + c
+        return total
 
     def __eq__(self, other):
         if not isinstance(other, PolynomialFn):
@@ -80,7 +88,7 @@ def faulhaber(j: int, degree_bound: "int | None" = DEFAULT_DEGREE_BOUND) -> Poly
     sum, so faulhaber(j)(L) counts n = 0 .. L-1 exactly.
     """
     _as_int(j, "power", 0)
-    if degree_bound is not None and j > degree_bound:
+    if degree_bound is not None and j > _as_int(degree_bound, "degree bound"):
         raise MathDomainError(f"power {j} exceeds the bound {degree_bound}")
     coeffs = [Fraction(0)] * (j + 2)
     for i in range(j + 1):
@@ -95,12 +103,12 @@ def discrete_integral(
 
     Expands f(n*o)*o monomial by monomial, replaces each power sum by its
     closed form at the point count L = phi(upper), and evaluates exactly
-    with L embedded as t*S + k.  The empty sum returns the integration
-    constant g0.
+    with L as the series S * (t + k*o) = t*S + k.  The empty sum returns
+    the integration constant g0.
     """
     if not upper.is_nonnegative:
         raise MathDomainError(f"{upper} is not in the non-negative lattice")
-    count = embed(phi(upper))
+    count = S * upper.value()
     total = OmegaNumber.single(0, as_rational(g0))
     for j, a in enumerate(f.coeffs):
         if a == 0:
@@ -113,7 +121,7 @@ def discrete_integral(
 def riemann(f: PolynomialFn, t) -> Fraction:
     """Exact antiderivative of f evaluated from 0 to t."""
     t = as_rational(t)
-    return t * _poly.evaluate([a / (j + 1) for j, a in enumerate(f.coeffs)], t)
+    return t * PolynomialFn([a / (j + 1) for j, a in enumerate(f.coeffs)], None)(t)
 
 
 def difference_equation_check(f: PolynomialFn, x1: R1Point, g0=Fraction(0)) -> bool:

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from decimal import Decimal, Overflow, Underflow, localcontext
+from decimal import Decimal, Overflow, Underflow, getcontext, localcontext
 from fractions import Fraction
-from math import comb, factorial, log10
+from math import comb, factorial, floor, log10, perm
 
-from . import _poly
 from .coefficients import CoeffTable, D_to_d_table, binomial_general, d_to_D_table
 from .errors import MathDomainError, PrecisionExhaustedError
+from .integration import PolynomialFn
 from .rationals import _as_int, as_rational, format_rational, rational_pow
 from .series import OmegaNumber, ZERO, expand_rational, o as O_UNIT, resolve_depth
 
@@ -49,6 +49,8 @@ __all__ = [
 
 # Significant digits of the exp, log, sin and cos oracle values.
 DECIMAL_DIGITS = 50
+# Integer digits of the largest point sin and cos reduce modulo 2*pi.
+_SIN_COS_DIGITS = 10_000
 
 
 class LiftedFunction(namedtuple("LiftedFunction", "oracle domain degree label")):
@@ -71,22 +73,18 @@ class LiftedFunction(namedtuple("LiftedFunction", "oracle domain degree label"))
 
     def derivative_at(self, k: int, t: Fraction) -> Fraction:
         """The oracle's k-th derivative at t; a decimal oracle whose value
-        or point leaves ``decimal``'s exponent range raises
-        PrecisionExhaustedError."""
+        or point leaves ``decimal``'s exponent range, or a sin or cos point
+        too long to reduce, raises PrecisionExhaustedError."""
         _as_int(k, "derivative order", 0)
         if self.degree is not None and k > self.degree:
             return Fraction(0)
         try:
             return self.oracle(k, t)
         except _PointOutOfRange as exc:
-            sign = "-" if t < 0 else ""
-            raise PrecisionExhaustedError(
-                f"{self.label} at about {sign}10^{exc.args[0]} leaves the decimal exponent range"
-            ) from None
+            problem, cause = exc.args[0], None
         except (Overflow, Underflow) as exc:
-            raise PrecisionExhaustedError(
-                f"{self.label} at {format_rational(t)} leaves the decimal exponent range"
-            ) from exc
+            problem, cause = "leaves the decimal exponent range", exc
+        raise PrecisionExhaustedError(f"{self.label} at {_point_text(t)} {problem}") from cause
 
     def in_domain(self, t: Fraction) -> bool:
         return self.domain(t)
@@ -210,13 +208,13 @@ def ns_diff_check(
 
 def polynomial_fn(coeffs: Sequence) -> LiftedFunction:
     """Exact polynomial with the given ascending coefficients."""
-    values = _poly.normalize(coeffs)
+    p = PolynomialFn(coeffs, None)
 
     def oracle(k: int, t: Fraction) -> Fraction:
-        return _poly.evaluate(_poly.derive(values, k), t)
+        return PolynomialFn([perm(i, k) * a for i, a in enumerate(p.coeffs[k:], k)], None)(t)
 
-    label = "poly(" + ",".join(str(v) for v in values) + ")"
-    return LiftedFunction(oracle=oracle, degree=len(values) - 1, label=label)
+    label = "poly(" + ",".join(str(v) for v in p.coeffs) + ")"
+    return LiftedFunction(oracle=oracle, degree=p.degree, label=label)
 
 
 def rational_fn(num: Sequence, den: Sequence) -> LiftedFunction:
@@ -227,9 +225,8 @@ def rational_fn(num: Sequence, den: Sequence) -> LiftedFunction:
     point's expansion is kept; an order below its floor expands again,
     to twice that order.  A pole raises ZeroDivisionError.
     """
-    p = _poly.normalize(num)
-    q = _poly.normalize(den)
-    if q == [0]:
+    p, q = PolynomialFn(num, None), PolynomialFn(den, None)
+    if q.coeffs == (0,):
         raise MathDomainError("zero denominator polynomial")
     last = {"t": None}
 
@@ -246,15 +243,15 @@ def rational_fn(num: Sequence, den: Sequence) -> LiftedFunction:
 
     return LiftedFunction(
         oracle=oracle,
-        domain=lambda t: _poly.evaluate(q, t) != 0,
+        domain=lambda t: q(t) != 0,
         label="rational",
     )
 
 
-def _taylor_shift(coeffs: list, t: Fraction) -> list:
-    """Coefficients of the polynomial at t + o, in ascending powers of o."""
-    shifted = _poly.evaluate(coeffs, t + O_UNIT)
-    return [shifted.coefficient(-j) for j in range(len(coeffs))]
+def _taylor_shift(p: PolynomialFn, t: Fraction) -> list:
+    """Coefficients of p at t + o, in ascending powers of o."""
+    shifted = p.eval_series(t + O_UNIT)
+    return [shifted.coefficient(-j) for j in range(p.degree + 1)]
 
 
 def power_fn(alpha) -> LiftedFunction:
@@ -289,18 +286,44 @@ def power_fn(alpha) -> LiftedFunction:
 
 
 class _PointOutOfRange(ArithmeticError):
-    """The point certainly overflows or underflows the decimal context;
-    ``args[0]`` is about log10|t|."""
+    """A point refused before it is converted; ``args[0]`` says why."""
+
+
+def _point_text(t: Fraction) -> str:
+    # The point itself, or "about 10^N" once it has more than 50 digits.
+    if max(abs(t.numerator), t.denominator) < 10**50:
+        return format_rational(t)
+    bits = t.numerator.bit_length() - t.denominator.bit_length()
+    return f"about {'-' if t < 0 else ''}10^{round(bits * log10(2))}"
 
 
 def _check_range(t: Fraction, ctx) -> None:
     # log2|t| lies strictly between bits - 1 and bits + 1.  Checked before
-    # Decimal(int), whose cost is quadratic in the number of digits.
+    # the point is converted, which costs time in its number of digits.
     if t == 0:
         return
     bits = t.numerator.bit_length() - t.denominator.bit_length()
     if (bits - 1) * log10(2) > ctx.Emax + 2 or (bits + 1) * log10(2) < ctx.Etiny() - 2:
-        raise _PointOutOfRange(round(bits * log10(2)))
+        raise _PointOutOfRange("leaves the decimal exponent range")
+
+
+def _digit_count(n: int) -> int:
+    # Digits of n != 0: its bit length gives the count or one less.
+    d = floor((n.bit_length() - 1) * log10(2)) + 1
+    return d + (abs(n) >= 10**d)
+
+
+def _decimal_quotient(num: int, den: int) -> Decimal:
+    """num / den, den > 0, rounded once by the current context, as
+    ``Decimal(num) / Decimal(den)`` is, in time about linear in their
+    digits; ``Decimal(int)`` alone is quadratic in them."""
+    # An integer quotient with at least three digits beyond the precision,
+    # and a last, sticky digit that is 1 when the division left a remainder.
+    scale = getcontext().prec + 3 - floor((num.bit_length() - den.bit_length() - 1) * log10(2))
+    q, r = divmod(abs(num) * 10 ** max(scale, 0), den * 10 ** max(-scale, 0))
+    value = Decimal((-1 if num < 0 else 1) * (10 * q + (r != 0))).scaleb(-scale - 1)
+    # An exact quotient sheds its padding zeros; shorter digits compute faster.
+    return value if r else value.normalize()
 
 
 def _to_decimal(t: Fraction) -> Decimal:
@@ -308,7 +331,7 @@ def _to_decimal(t: Fraction) -> Decimal:
         ctx.prec = DECIMAL_DIGITS + 10
         ctx.traps[Underflow] = True  # a point too small raises, never rounds to 0
         _check_range(t, ctx)
-        return Decimal(t.numerator) / Decimal(t.denominator)
+        return _decimal_quotient(t.numerator, t.denominator)
 
 
 def _decimal_pi() -> Decimal:
@@ -329,13 +352,17 @@ def _reduce_mod_2pi(t: Fraction) -> Decimal:
     """t minus the nearest multiple of 2*pi, to about 62 digits after the point.
 
     The multiple of 2*pi is as large as t, so the subtraction is carried
-    out with at least one extra digit per integer digit of t.
+    out with at least one extra digit per integer digit of t; a t with more
+    than ``_SIN_COS_DIGITS`` integer digits is refused.
     """
+    whole_digits = _digit_count(t.numerator) - _digit_count(t.denominator) + 2
+    if whole_digits >= _SIN_COS_DIGITS + 2 and abs(t) >= 10**_SIN_COS_DIGITS:
+        raise _PointOutOfRange(
+            f"has more than {_SIN_COS_DIGITS} integer digits to reduce modulo 2*pi"
+        )
     with localcontext() as ctx:
-        _check_range(t, ctx)
-        whole_digits = Decimal(t.numerator).adjusted() - Decimal(t.denominator).adjusted() + 2
         ctx.prec = DECIMAL_DIGITS + 12 + whole_digits
-        x = Decimal(t.numerator) / Decimal(t.denominator)
+        x = _decimal_quotient(t.numerator, t.denominator)
         two_pi = 2 * _decimal_pi()
         return x - two_pi * (x / two_pi).to_integral_value()
 

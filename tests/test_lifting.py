@@ -1,5 +1,5 @@
 import time
-from decimal import Decimal, localcontext
+from decimal import Decimal, Overflow, Underflow, localcontext
 from fractions import Fraction
 
 import pytest
@@ -33,7 +33,13 @@ from omegafield import (
     sin_fn,
 )
 from omegafield.errors import OmegaError
-from omegafield.lifting import DECIMAL_DIGITS, _decimal_sin_cos, _reduce_mod_2pi, _to_decimal
+from omegafield.lifting import (
+    DECIMAL_DIGITS,
+    _decimal_quotient,
+    _decimal_sin_cos,
+    _reduce_mod_2pi,
+    _to_decimal,
+)
 from omegafield.rationals import as_rational, rational_pow
 from conftest import random_infinitesimal, random_rational
 
@@ -409,6 +415,46 @@ class TestTranscendental:
             f"{f.label} at about {power} leaves the decimal exponent range"
         )
 
+    def test_point_with_a_million_digits_converts_quickly(self):
+        start = time.perf_counter()
+        value = exp_fn().derivative_at(0, Fraction(1, 10**1000000))
+        assert time.perf_counter() - start < 2
+        assert value == 1  # e^(10^-1000000) to 50 digits
+
+    @pytest.mark.parametrize(
+        "f, t, text",
+        [
+            # Passes the range check's slack, then underflows on conversion.
+            (log_fn(), Fraction(1, 10**1000059), "about 10^-1000059"),
+            (exp_fn(), Fraction(10**50), "about 10^50"),
+            (exp_fn(), Fraction(-(10**60), 7), "about -10^59"),
+            (exp_fn(), Fraction(10**49), str(10**49)),
+        ],
+        ids=("log-near-the-edge", "exp-51-digits", "exp-negative", "exp-50-digits"),
+    )
+    def test_long_point_leaving_the_range_is_named_by_its_power_of_ten(self, f, t, text):
+        start = time.perf_counter()
+        with pytest.raises(PrecisionExhaustedError) as caught:
+            f.derivative_at(0, t)
+        assert time.perf_counter() - start < 2
+        assert str(caught.value) == f"{f.label} at {text} leaves the decimal exponent range"
+
+    @pytest.mark.parametrize("f", [sin_fn(), cos_fn()], ids=("sin", "cos"))
+    @pytest.mark.parametrize(
+        "t, power",
+        [(Fraction(10**20000), "10^20000"), (Fraction(-(10**10000)), "-10^10000")],
+        ids=("huge", "first-refused"),
+    )
+    def test_sin_cos_refuse_more_than_10000_integer_digits(self, f, t, power):
+        start = time.perf_counter()
+        with pytest.raises(PrecisionExhaustedError) as caught:
+            f.derivative_at(0, t)
+        assert time.perf_counter() - start < 1
+        assert str(caught.value) == (
+            f"{f.label} at about {power} has more than 10000 integer digits"
+            " to reduce modulo 2*pi"
+        )
+
     def test_sin_cos_at_zero(self):
         sine = lift_eval(sin_fn(), o, 5)
         assert sine.coefficient(-1) == 1
@@ -544,6 +590,41 @@ def test_power_oracle_matches_falling_factorial(alpha, k, t):
     assert outcome(lambda: f.derivative_at(k, t)) == outcome(
         lambda: reference_power_oracle(alpha)(k, t)
     )
+
+
+def decimal_outcome(compute):
+    try:
+        return compute()
+    except (Overflow, Underflow) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    num=st.integers(-(10**70), 10**70),
+    den=st.integers(1, 10**70),
+    shift=st.integers(-1100, 1100),
+    prec=st.sampled_from([28, 60, 62, 75, 200]),
+    trap=st.booleans(),
+)
+@example(num=1, den=2, shift=0, prec=60, trap=True)  # exact
+@example(num=-25, den=10, shift=0, prec=1, trap=True)  # a tie, rounded to even
+@example(num=0, den=7, shift=-1000, prec=60, trap=True)
+@example(num=1, den=1, shift=-1058, prec=60, trap=True)  # subnormal but exact
+@example(num=1, den=3, shift=-1058, prec=60, trap=True)  # subnormal and inexact
+@example(num=9, den=1, shift=999, prec=60, trap=True)  # overflows
+def test_decimal_quotient_matches_decimal_division(num, den, shift, prec, trap):
+    # Near the edges of a context whose exponent range is 10^+-999, where
+    # dividing the converted integers is still cheap.
+    if shift >= 0:
+        num *= 10**shift
+    else:
+        den *= 10**-shift
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = prec, 999, -999
+        ctx.traps[Underflow] = trap
+        expected = decimal_outcome(lambda: Decimal(num) / Decimal(den))
+        assert decimal_outcome(lambda: _decimal_quotient(num, den)) == expected
 
 
 def test_exp_at_zero_and_log_at_one_are_exact():

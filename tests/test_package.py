@@ -40,6 +40,8 @@ SUBMODULES = {
     "coefficients", "errors", "expressions", "integers", "integration",
     "lifting", "rationals", "series",
 }
+#: The modules that declare ``__all__``; the others bind every public global.
+DECLARE_ALL = ("expressions", "integers", "integration", "lifting")
 
 
 def run_python(code: str) -> str:
@@ -77,6 +79,15 @@ class TestLazyNamespace:
         assert PUBLIC_NAMES <= set(namespace)
         assert namespace["OmegaNumber"] is omegafield.series.OmegaNumber
 
+    @pytest.mark.parametrize("module", DECLARE_ALL)
+    def test_module_all_is_its_table_entry(self, module):
+        # A star import of a module binds what the package exports from it;
+        # lifting adds the conversion tables it re-exports.
+        extra = {"CoeffTable", "d_to_D_table", "D_to_d_table"} if module == "lifting" else set()
+        names = importlib.import_module(f"omegafield.{module}").__all__
+        assert len(names) == len(set(names))
+        assert set(names) == set(omegafield._EXPORTS[module]) | extra
+
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="has no attribute 'nope'"):
             omegafield.nope
@@ -113,7 +124,7 @@ CORE = {
 }
 NOT_ON_THE_SERIES_PATH = {
     "omegafield.lifting", "omegafield.integration", "omegafield.integers",
-    "omegafield.coefficients", "omegafield._poly", "dataclasses", "inspect",
+    "omegafield.coefficients", "dataclasses", "inspect",
 }
 
 
@@ -173,6 +184,14 @@ class TestColdStartImports:
             "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
         )
         assert out == "[]\n"
+
+    def test_integration_loads_no_integers(self):
+        # A point count is the series S * (t + k*o); no infinite integer is built.
+        out = run_python(
+            "import sys, omegafield.integration\n"
+            "print('omegafield.integers' in sys.modules)\n"
+        )
+        assert out == "False\n"
 
     def test_lifting_reexports_the_tables_from_coefficients(self):
         from omegafield import coefficients, lifting

@@ -1,12 +1,15 @@
-"""Differential tests of the shared dense-polynomial routines.
+"""Differential tests of the dense polynomial and the infinite integers.
 
 Infinite integers, integration and the polynomial and rational lifts
-once each carried their own coefficient-list loops.  The ``reference_``
-functions below are those loops; the library now goes through
-``omegafield._poly`` and the series kernel instead, and both must agree
+once each carried their own coefficient-list loops, and an infinite
+integer once kept a tuple of coefficients.  The ``reference_``
+functions and ``ReferenceAlephNumber`` below are those loops and that
+class; the library now goes through ``PolynomialFn``, the series kernel
+and the series an ``AlephNumber`` keeps instead, and both must agree
 exactly: the same values, text and JSON, or the same exception.
 """
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial
 
@@ -15,6 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 from omegafield import (
     ALEPH_ZERO,
     AlephNumber,
+    MathDomainError,
+    OmegaNumber,
     PolynomialFn,
     compare_aleph,
     oplus,
@@ -23,8 +28,100 @@ from omegafield import (
     rational_fn,
     riemann,
 )
-from omegafield.rationals import as_rational
+from omegafield.rationals import as_rational, format_rational_json
 from omegafield.series import ComparisonResult
+
+
+def reference_normalize(coeffs) -> list:
+    """Exact rationals with trailing zeros stripped; ``[0]`` for zero."""
+    values = [as_rational(c) for c in coeffs] or [Fraction(0)]
+    while len(values) > 1 and values[-1] == 0:
+        values.pop()
+    return values
+
+
+def reference_embed(number):
+    """The integer as an exact series value, built from its coefficients."""
+    return OmegaNumber(
+        [(i, c) for i, c in enumerate(number.coeffs) if c != 0]
+    )
+
+
+class ReferenceAlephNumber:
+    """``AlephNumber`` as it was when it kept a tuple of coefficients."""
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coeffs: Sequence = (0,)):
+        values = reference_normalize(coeffs)
+        if len(values) == 1:
+            if values[0].denominator != 1 or values[0] < 0:
+                raise MathDomainError(
+                    f"{values[0]} is not a natural number"
+                )
+        else:
+            if values[0].denominator != 1:
+                raise MathDomainError(
+                    f"constant term {values[0]} must be an integer"
+                )
+            if values[-1] <= 0:
+                raise MathDomainError(
+                    f"leading coefficient {values[-1]} must be positive"
+                )
+        self._coeffs = tuple(values)
+
+    @classmethod
+    def from_int(cls, n: int) -> "ReferenceAlephNumber":
+        return cls((n,))
+
+    @property
+    def coeffs(self) -> tuple:
+        """Coefficients, constant term first."""
+        return self._coeffs
+
+    @property
+    def degree(self) -> int:
+        return len(self._coeffs) - 1
+
+    @property
+    def is_standard(self) -> bool:
+        return self.degree == 0
+
+    def coefficient(self, k: int) -> Fraction:
+        return self._coeffs[k] if 0 <= k < len(self._coeffs) else Fraction(0)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = ReferenceAlephNumber.from_int(other) if other >= 0 else None
+            if other is None:
+                return False
+        if not isinstance(other, ReferenceAlephNumber):
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __hash__(self):
+        # A standard integer equals its int, so it hashes as one.
+        if self.is_standard:
+            return hash(self._coeffs[0])
+        return hash(self._coeffs)
+
+    def __str__(self):
+        return str(reference_embed(self))
+
+    def __repr__(self):
+        return f"AlephNumber({self})"
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "aleph",
+            "coeffs": [format_rational_json(c) for c in self._coeffs],
+        }
+
+    @classmethod
+    def from_json(cls, data) -> "ReferenceAlephNumber":
+        if data.get("kind") != "aleph":
+            raise ValueError("not a serialized infinite integer")
+        return cls([Fraction(c) for c in data["coeffs"]])
 
 
 def reference_polynomial_oracle(coeffs):
@@ -225,3 +322,64 @@ def test_aleph_operations_match_coefficient_loops(left, right):
         assert value.coeffs == expected.coeffs
         assert (str(value), value.to_json()) == (str(expected), expected.to_json())
     assert compare_aleph(left, right) is reference_compare_aleph(left, right)
+
+
+def built(cls, coeffs):
+    """The number, or the type and text of the exception building it."""
+    try:
+        return cls(coeffs)
+    except (MathDomainError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# Entries that make admissible and inadmissible lists alike: naturals,
+# negative and large integers, fractions and (trailing) zeros.
+aleph_entries = (
+    rationals
+    | st.integers(-3, 3)
+    | st.integers(10**18, 10**20)
+    | st.just(Fraction(0))
+)
+aleph_lists = st.lists(aleph_entries, max_size=5)
+ints = st.integers(-3, 3) | st.integers(10**18, 10**20) | st.integers(-(10**20), -(10**18))
+
+
+@settings(differential, max_examples=300)
+@given(coeffs=aleph_lists, ks=st.lists(st.integers(-2, 6), max_size=4))
+@example(coeffs=[], ks=[0])
+@example(coeffs=[Fraction(1, 2)], ks=[])  # not a natural number
+@example(coeffs=[-1], ks=[])
+@example(coeffs=[Fraction(1, 2), 1], ks=[])  # constant term not an integer
+@example(coeffs=[1, 2, -1, 0], ks=[])  # leading coefficient not positive
+@example(coeffs=[3, Fraction(1, 2), 1], ks=[2, 3, -1])
+def test_series_backed_aleph_matches_tuple_reference(coeffs, ks):
+    new, old = built(AlephNumber, coeffs), built(ReferenceAlephNumber, coeffs)
+    if isinstance(old, tuple):
+        assert new == old
+        return
+    assert (str(new), repr(new)) == (str(old), repr(old))
+    assert (new.coeffs, new.degree, new.is_standard) == (old.coeffs, old.degree, old.is_standard)
+    assert [new.coefficient(k) for k in ks] == [old.coefficient(k) for k in ks]
+    assert new.to_json() == old.to_json()
+    assert AlephNumber.from_json(old.to_json()) == new
+    if old.is_standard:
+        assert hash(new) == hash(old) == hash(int(old.coefficient(0)))
+
+
+@settings(differential, max_examples=300)
+@given(left=aleph_lists, right=aleph_lists, n=ints)
+@example(left=[0], right=[], n=0)
+@example(left=[10**19], right=[10**19], n=10**19)
+@example(left=[2, 1], right=[2, 1, 0], n=2)
+@example(left=[5], right=[5, 0, 0], n=-5)
+def test_series_backed_aleph_equality_matches_tuple_reference(left, right, n):
+    new = [built(AlephNumber, c) for c in (left, right)]
+    old = [built(ReferenceAlephNumber, c) for c in (left, right)]
+    if any(isinstance(x, tuple) for x in old):
+        return
+    assert (new[0] == new[1]) == (old[0] == old[1])
+    for a, b in zip(new, old):
+        assert (a == n, n == a, a != n) == (b == n, n == b, b != n)
+        assert (a == Fraction(n)) is False
+    if new[0] == new[1]:
+        assert hash(new[0]) == hash(new[1])
