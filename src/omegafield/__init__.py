@@ -28,7 +28,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-#: Each public name, listed under the module that defines it.
+#: Each public name, listed under the module that defines it; each module
+#: sets its ``__all__`` from its entry here.
 _EXPORTS = {
     "coefficients": (
         "CoeffTable", "D_to_d_table", "bernoulli", "binomial_general",

@@ -53,40 +53,6 @@ def _coeff_list(text: str):
         raise argparse.ArgumentTypeError(f"not a coefficient list: {text!r}")
 
 
-#: Options every subcommand accepts, then each subcommand's help line,
-#: positionals and own options, each option as its ``add_argument``
-#: keywords.  build_parser() and _parse_plain() both read these tables.
-_COMMON = {
-    "--depth": dict(dest="depth", type=int, default=None,
-                    help="working truncation depth (default: OMEGA_DEPTH or 16)"),
-    "--json": dict(dest="json", action="store_true", default=False,
-                   help="emit JSON instead of text"),
-}
-_SUBCOMMANDS = {
-    "eval": ("evaluate an expression", ("expression",), {}),
-    "compare": ("compare two expressions", ("left", "right"), {}),
-    "difftable": ("conversion table between the two differential families", (), {
-        "--dir": dict(dest="direction", choices=("d_to_D", "D_to_d"), default="d_to_D"),
-        "--max": dict(dest="max_order", type=int, default=4),
-    }),
-    "integrate": ("discrete integral of a polynomial up to t + k*o", (), {
-        "--poly": dict(dest="poly", type=_coeff_list, required=True,
-                       help="comma-separated coefficients, constant first"),
-        "--t": dict(dest="t", type=_rational_arg, required=True),
-        "--k": dict(dest="k", type=int, default=0),
-        "--g0": dict(dest="g0", type=_rational_arg, default=Fraction(0)),
-    }),
-    "coeffs": ("exact coefficient families (x: alternating sums, k: symmetric products)", (), {
-        "--family": dict(dest="family", choices=("x", "k"), default="x"),
-        "--max": dict(dest="max_order", type=int, default=6),
-    }),
-    "expand": ("expand a quotient of polynomials in o into a series", (), {
-        "--num": dict(dest="num", type=_coeff_list, required=True),
-        "--den": dict(dest="den", type=_coeff_list, required=True),
-    }),
-}
-
-
 def build_parser():
     """The full ``argparse.ArgumentParser``, the one source of help and
     error text."""
@@ -101,7 +67,7 @@ def build_parser():
         "and the infinitesimal o = 1/S.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, positionals, options) in _SUBCOMMANDS.items():
+    for name, (_, help_text, positionals, options) in _SUBCOMMANDS.items():
         command = sub.add_parser(name, parents=[common], help=help_text)
         for dest in positionals:
             command.add_argument(dest)
@@ -118,7 +84,7 @@ def _parse_plain(argv):
     its converter or choices reject, or ``--json=...``."""
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
-    _, positionals, own = _SUBCOMMANDS[argv[0]]
+    _, _, positionals, own = _SUBCOMMANDS[argv[0]]
     options = {**_COMMON, **own}
     values = {"command": argv[0]}
     values.update((spec["dest"], spec.get("default")) for spec in options.values())
@@ -259,13 +225,38 @@ def _cmd_expand(args, depth: int) -> int:
     return 0
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "compare": _cmd_compare,
-    "difftable": _cmd_difftable,
-    "integrate": _cmd_integrate,
-    "coeffs": _cmd_coeffs,
-    "expand": _cmd_expand,
+#: Options every subcommand accepts, then each subcommand's handler, help
+#: line, positionals and own options, each option as its ``add_argument``
+#: keywords.  build_parser() and _parse_plain() both read these tables.
+_COMMON = {
+    "--depth": dict(dest="depth", type=int, default=None,
+                    help="working truncation depth (default: OMEGA_DEPTH or 16)"),
+    "--json": dict(dest="json", action="store_true", default=False,
+                   help="emit JSON instead of text"),
+}
+_SUBCOMMANDS = {
+    "eval": (_cmd_eval, "evaluate an expression", ("expression",), {}),
+    "compare": (_cmd_compare, "compare two expressions", ("left", "right"), {}),
+    "difftable": (_cmd_difftable, "conversion table between the two differential families", (), {
+        "--dir": dict(dest="direction", choices=("d_to_D", "D_to_d"), default="d_to_D"),
+        "--max": dict(dest="max_order", type=int, default=4),
+    }),
+    "integrate": (_cmd_integrate, "discrete integral of a polynomial up to t + k*o", (), {
+        "--poly": dict(dest="poly", type=_coeff_list, required=True,
+                       help="comma-separated coefficients, constant first"),
+        "--t": dict(dest="t", type=_rational_arg, required=True),
+        "--k": dict(dest="k", type=int, default=0),
+        "--g0": dict(dest="g0", type=_rational_arg, default=Fraction(0)),
+    }),
+    "coeffs": (_cmd_coeffs,
+               "exact coefficient families (x: alternating sums, k: symmetric products)", (), {
+        "--family": dict(dest="family", choices=("x", "k"), default="x"),
+        "--max": dict(dest="max_order", type=int, default=6),
+    }),
+    "expand": (_cmd_expand, "expand a quotient of polynomials in o into a series", (), {
+        "--num": dict(dest="num", type=_coeff_list, required=True),
+        "--den": dict(dest="den", type=_coeff_list, required=True),
+    }),
 }
 
 
@@ -274,7 +265,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _parse_plain(argv) or build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, _depth(args))
+        return _SUBCOMMANDS[args.command][0](args, _depth(args))
     except OmegaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -16,7 +16,10 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
+from . import _EXPORTS
 from .rationals import _as_int, as_rational, format_rational_json
+
+__all__ = _EXPORTS["coefficients"]
 
 
 def binomial_general(alpha, k: int) -> Fraction:
@@ -55,7 +58,8 @@ def x_coeff(p: int, n: int) -> int:
     Vanishes for n < p and equals p! on the diagonal n = p.
     """
     _as_int(p, "indices", 0)
-    _as_int(n, "indices", 0)
+    if _as_int(n, "indices", 0) < p:
+        return 0
     total = 0
     for k in range(p + 1):
         power = 1 if n == 0 else k**n

@@ -7,6 +7,10 @@ answer the question).  Each class carries the CLI exit code it maps to
 as ``exit_code``.
 """
 
+from . import _EXPORTS
+
+__all__ = _EXPORTS["errors"]
+
 
 class OmegaError(Exception):
     """Base class for all library errors."""

@@ -19,10 +19,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
+from . import _EXPORTS
 from .errors import ExprSyntaxError
 from .series import OmegaNumber, S, o, resolve_depth
 
-__all__ = ["parse", "evaluate", "Expression"]
+__all__ = _EXPORTS["expressions"]
 
 _FUNCTIONS = ("inv", "sqrt", "pow", "trunc")
 
@@ -226,36 +227,32 @@ def evaluate(node: Expression, depth: "int | None" = None) -> OmegaNumber:
         raise ExprSyntaxError("expression nested too deeply", 1) from None
 
 
+#: Each operation's value from the working depth and its operands, the
+#: ``Expression`` ones already evaluated.
+_RULES = {
+    # from_rational(value) only calls single(0, value); a leaf is the
+    # deepest frame of a long sum, so it calls single directly.
+    "num": lambda depth, value: OmegaNumber.single(0, value),
+    "sym": lambda depth, name: o if name == "o" else S,
+    "add": lambda depth, a, b: a + b,
+    "sub": lambda depth, a, b: a - b,
+    "mul": lambda depth, a, b: a * b,
+    "div": lambda depth, a, b: a * b.invert(depth),
+    "neg": lambda depth, a: -a,
+    "ipow": lambda depth, base, n: base.invert(depth) ** (-n) if n < 0 else base**n,
+    "inv": lambda depth, a: a.invert(depth),
+    "sqrt": lambda depth, a: a.pow_alpha(Fraction(1, 2), depth),
+    "pow": lambda depth, a, alpha: a.pow_alpha(alpha, depth),
+    "trunc": lambda depth, a, order: a.truncate(order),
+}
+
+
 def _evaluate(node: Expression, depth: int) -> OmegaNumber:
-    op = node.op
-    if op == "num":
-        return OmegaNumber.from_rational(node.args[0])
-    if op == "sym":
-        return o if node.args[0] == "o" else S
-    if op == "add":
-        return _evaluate(node.args[0], depth) + _evaluate(node.args[1], depth)
-    if op == "sub":
-        return _evaluate(node.args[0], depth) - _evaluate(node.args[1], depth)
-    if op == "mul":
-        return _evaluate(node.args[0], depth) * _evaluate(node.args[1], depth)
-    if op == "div":
-        return _evaluate(node.args[0], depth) * _evaluate(
-            node.args[1], depth
-        ).invert(depth)
-    if op == "neg":
-        return -_evaluate(node.args[0], depth)
-    if op == "ipow":
-        base = _evaluate(node.args[0], depth)
-        n = node.args[1]
-        if n < 0:
-            return base.invert(depth) ** (-n)
-        return base**n
-    if op == "inv":
-        return _evaluate(node.args[0], depth).invert(depth)
-    if op == "sqrt":
-        return _evaluate(node.args[0], depth).pow_alpha(Fraction(1, 2), depth)
-    if op == "pow":
-        return _evaluate(node.args[0], depth).pow_alpha(node.args[1], depth)
-    if op == "trunc":
-        return _evaluate(node.args[0], depth).truncate(node.args[1])
-    raise ValueError(f"unknown operation {op!r}")
+    rule = _RULES.get(node.op)
+    if rule is None:
+        raise ValueError(f"unknown operation {node.op!r}")
+    # A plain loop: a comprehension would add a Python frame per tree level.
+    operands = []
+    for arg in node.args:
+        operands.append(_evaluate(arg, depth) if isinstance(arg, Expression) else arg)
+    return rule(depth, *operands)

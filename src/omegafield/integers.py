@@ -17,6 +17,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
+from . import _EXPORTS
 from .errors import (
     IndistinguishableError,
     MathDomainError,
@@ -25,27 +26,7 @@ from .errors import (
 from .rationals import _as_int, as_rational, format_rational_json
 from .series import ComparisonResult, OmegaNumber
 
-__all__ = [
-    "R1Point",
-    "R1Interval",
-    "AlephNumber",
-    "ALEPH_ZERO",
-    "ALEPH_ONE",
-    "SIGMA",
-    "count_interval",
-    "phi",
-    "psi",
-    "successor",
-    "predecessor",
-    "oplus",
-    "otimes",
-    "oplus_inductive",
-    "otimes_inductive",
-    "compare_aleph",
-    "embed",
-    "integer_truncation",
-    "archimedean_witness",
-]
+__all__ = _EXPORTS["integers"]
 
 
 class R1Point(namedtuple("R1Point", "t k")):

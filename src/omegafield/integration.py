@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING
 
+from . import _EXPORTS
 from .coefficients import bernoulli
 from .errors import MathDomainError
 from .rationals import _as_int, as_rational
@@ -24,14 +25,7 @@ from .series import S, OmegaNumber
 if TYPE_CHECKING:
     from .integers import R1Point
 
-__all__ = [
-    "PolynomialFn",
-    "faulhaber",
-    "discrete_integral",
-    "riemann",
-    "difference_equation_check",
-    "ns_continuity_check",
-]
+__all__ = _EXPORTS["integration"]
 
 DEFAULT_DEGREE_BOUND = 12
 

@@ -19,33 +19,17 @@ from collections import namedtuple
 from collections.abc import Sequence
 from decimal import Decimal, Overflow, Underflow, getcontext, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, floor, log10, perm
 
+from . import _EXPORTS
 from .coefficients import CoeffTable, D_to_d_table, binomial_general, d_to_D_table
 from .errors import MathDomainError, PrecisionExhaustedError
 from .integration import PolynomialFn
 from .rationals import _as_int, as_rational, format_rational, rational_pow
 from .series import OmegaNumber, ZERO, expand_rational, o as O_UNIT, resolve_depth
 
-__all__ = [
-    "LiftedFunction",
-    "CoeffTable",
-    "lift_eval",
-    "derivative",
-    "difference",
-    "difference_iterated",
-    "differential",
-    "d_to_D_table",
-    "D_to_d_table",
-    "ns_diff_check",
-    "polynomial_fn",
-    "rational_fn",
-    "power_fn",
-    "exp_fn",
-    "log_fn",
-    "sin_fn",
-    "cos_fn",
-]
+__all__ = [*_EXPORTS["lifting"], "CoeffTable", "d_to_D_table", "D_to_d_table"]
 
 # Significant digits of the exp, log, sin and cos oracle values.
 DECIMAL_DIGITS = 50
@@ -398,15 +382,17 @@ def _alternating_taylor_sum(first: Decimal, i: int, xx: Decimal) -> Decimal:
 
 
 def exp_fn() -> LiftedFunction:
-    """Exponential; every derivative is the function itself."""
+    """Exponential; every derivative is the function itself, so the last
+    point's value serves every order."""
 
-    def oracle(k: int, t: Fraction) -> Fraction:
+    @lru_cache(maxsize=1)
+    def value(t: Fraction) -> Fraction:
         with localcontext() as ctx:
             ctx.prec = DECIMAL_DIGITS
             ctx.traps[Underflow] = True
             return Fraction(_to_decimal(t).exp())
 
-    return LiftedFunction(oracle=oracle, label="exp")
+    return LiftedFunction(oracle=lambda k, t: value(t), label="exp")
 
 
 def log_fn() -> LiftedFunction:
@@ -427,15 +413,17 @@ def log_fn() -> LiftedFunction:
 
 
 def sin_fn() -> LiftedFunction:
-    """Sine; derivatives cycle through sin, cos, -sin, -cos."""
+    """Sine; derivatives cycle through sin, cos, -sin, -cos, all four
+    kept for the last point."""
 
-    def oracle(k: int, t: Fraction) -> Fraction:
+    @lru_cache(maxsize=1)
+    def cycle(t: Fraction) -> tuple:
         # Negate after the exact conversion: unary minus on a Decimal
         # rounds to the ambient context and would corrupt the digits.
         sin_t, cos_t = map(Fraction, _decimal_sin_cos(t))
-        return (sin_t, cos_t, -sin_t, -cos_t)[k % 4]
+        return sin_t, cos_t, -sin_t, -cos_t
 
-    return LiftedFunction(oracle=oracle, label="sin")
+    return LiftedFunction(oracle=lambda k, t: cycle(t)[k % 4], label="sin")
 
 
 def cos_fn() -> LiftedFunction:

@@ -12,12 +12,15 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
+from . import _EXPORTS
 from .errors import (
     DivisionByZeroError,
     IrrationalLeadingCoefficientError,
     MathDomainError,
     NegativeBaseError,
 )
+
+__all__ = _EXPORTS["rationals"]
 
 
 def as_rational(value) -> Fraction:
@@ -38,11 +41,11 @@ def as_rational(value) -> Fraction:
 def _as_int(value, name: str, least: "int | None" = None) -> int:
     """``value`` itself when it is an int of at least ``least``.
 
-    An order, index, count, exponent or floor that is not an int raises
-    TypeError; one below ``least`` raises ValueError.  ``name`` is the
-    argument the message blames.
+    An order, index, count, exponent or floor that is not an int, or is a
+    bool, raises TypeError; one below ``least`` raises ValueError.
+    ``name`` is the argument the message blames.
     """
-    if not isinstance(value, int):
+    if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer")
     if least is not None and value < least:
         bound = "non-negative" if least == 0 else f"at least {least}"
@@ -57,13 +60,14 @@ DEFAULT_DEPTH = 16
 def resolve_depth(depth: "int | None", name: str = "depth") -> int:
     """The working depth: ``DEFAULT_DEPTH`` for None, else ``depth`` itself.
 
-    A depth that is not an int raises TypeError.  A negative depth would
-    put the floor above the standard part and silently drop it, so it
-    raises MathDomainError; ``name`` is the setting the message blames.
+    A depth that is not an int, or is a bool, raises TypeError.  A
+    negative depth would put the floor above the standard part and
+    silently drop it, so it raises MathDomainError; ``name`` is the
+    setting the message blames.
     """
     if depth is None:
         return DEFAULT_DEPTH
-    if not isinstance(depth, int):
+    if not isinstance(depth, int) or isinstance(depth, bool):
         raise TypeError(f"{name} must be an int or None")
     if depth < 0:
         raise MathDomainError(f"{name} must be non-negative")

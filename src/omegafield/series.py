@@ -23,6 +23,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 
+from . import _EXPORTS
 from .errors import (
     DivisionByZeroError,
     FractionalLeadingExponentError,
@@ -33,6 +34,8 @@ from .errors import (
 )
 from .rationals import DEFAULT_DEPTH, _as_int, as_rational, format_rational, resolve_depth
 from .rationals import format_rational_json, rational_pow
+
+__all__ = _EXPORTS["series"]
 
 RationalLike = "int | Fraction | str"
 EntryLike = "Mapping[int, RationalLike] | Iterable[tuple]"

@@ -482,7 +482,7 @@ def argvs(draw):
         return ("-" if kind == "negated" else "") + draw(st.sampled_from(good))
 
     command = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
-    _, positionals, own = cli._SUBCOMMANDS[command]
+    _, _, positionals, own = cli._SUBCOMMANDS[command]
     pieces = [[value(["o", "sqrt(1+o)", "S", "1/2"])] for _ in positionals]
     for flag, spec in {**cli._COMMON, **own}.items():
         form = draw(st.sampled_from(["absent", "separate", "separate", "joined"]))

@@ -4,6 +4,7 @@ import pytest
 
 from omegafield import (
     DivisionByZeroError,
+    Expression,
     ExprSyntaxError,
     ONE,
     OmegaNumber,
@@ -123,3 +124,12 @@ class TestEvaluate:
     def test_precedence(self):
         assert run("1 + 2*o^2") == ONE + OmegaNumber.single(-2, 2)
         assert run("(1+o)*(1-o)") == ONE - OmegaNumber.single(-2, 1)
+
+    def test_long_sum_and_deep_parentheses(self):
+        # Evaluation takes one Python frame per tree level.
+        assert run("+".join(["1"] * 800)) == OmegaNumber.from_rational(800)
+        assert run("(" * 150 + "1+o" + ")" * 150) == ONE + o
+
+    def test_unknown_operation_is_refused_before_its_operands(self):
+        with pytest.raises(ValueError, match="^unknown operation 'cosh'$"):
+            evaluate(Expression("cosh", (parse("inv(0)"),)))

@@ -32,6 +32,7 @@ from omegafield import (
     rational_fn,
     sin_fn,
 )
+from omegafield import lifting
 from omegafield.errors import OmegaError
 from omegafield.lifting import (
     DECIMAL_DIGITS,
@@ -454,6 +455,37 @@ class TestTranscendental:
             f"{f.label} at about {power} has more than 10000 integer digits"
             " to reduce modulo 2*pi"
         )
+
+    @pytest.mark.parametrize(
+        "make, counted",
+        [(sin_fn, "_decimal_sin_cos"), (cos_fn, "_decimal_sin_cos"), (exp_fn, "_to_decimal")],
+        ids=("sin", "cos", "exp"),
+    )
+    def test_one_decimal_value_per_point(self, monkeypatch, make, counted):
+        calls = []
+        compute = getattr(lifting, counted)
+        monkeypatch.setattr(lifting, counted, lambda t: calls.append(t) or compute(t))
+        f = make()
+        x = omega(Fraction(17, 10)) + o
+        value = lift_eval(f, x, 16)
+        assert calls == [Fraction(17, 10)]
+        # A function made afresh for each order computes every value anew.
+        fresh = LiftedFunction(lambda k, t: make().oracle(k, t))
+        assert str(value) == str(lift_eval(fresh, x, 16))
+        calls.clear()
+        difference(f, omega(-2) + 3 * o, 4, 16)  # five lifts at one point
+        assert calls == [Fraction(-2)]
+
+    @pytest.mark.parametrize(
+        "f, bad",
+        [(exp_fn(), Fraction(10**7)), (sin_fn(), Fraction(10**20000))],
+        ids=("exp", "sin"),
+    )
+    def test_a_point_that_raised_raises_again(self, f, bad):
+        for _ in range(2):
+            with pytest.raises(PrecisionExhaustedError):
+                f.derivative_at(0, bad)
+            assert f.derivative_at(1, Fraction(1)) != 0
 
     def test_sin_cos_at_zero(self):
         sine = lift_eval(sin_fn(), o, 5)

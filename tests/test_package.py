@@ -40,8 +40,8 @@ SUBMODULES = {
     "coefficients", "errors", "expressions", "integers", "integration",
     "lifting", "rationals", "series",
 }
-#: The modules that declare ``__all__``; the others bind every public global.
-DECLARE_ALL = ("expressions", "integers", "integration", "lifting")
+#: Every module sets its ``__all__`` from its entry in the package's table.
+DECLARE_ALL = tuple(sorted(SUBMODULES))
 
 
 def run_python(code: str) -> str:

@@ -11,7 +11,7 @@ exactly: the same values, text and JSON, or the same exception.
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -144,7 +144,7 @@ def reference_polynomial_oracle(coeffs):
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
@@ -152,7 +152,7 @@ def _poly_mul(a, b):
 
 
 def _poly_derive(a):
-    return [i * c for i, c in enumerate(a)][1:] or [Fraction(0)]
+    return [i * c for i, c in enumerate(a)][1:] or [0]
 
 
 def _poly_eval(a, t):
@@ -164,25 +164,33 @@ def _poly_eval(a, t):
 
 def _pad(a, b):
     size = max(len(a), len(b))
-    a = a + [Fraction(0)] * (size - len(a))
-    b = b + [Fraction(0)] * (size - len(b))
+    a = a + [0] * (size - len(a))
+    b = b + [0] * (size - len(b))
     return zip(a, b)
 
 
 def reference_rational_oracle(num, den):
-    """The quotient-rule oracle and domain of ``rational_fn``."""
+    """The quotient-rule oracle and domain of ``rational_fn``.
+
+    The recurrence N_(k+1) = N_k' * Q - (k+1) * N_k * Q' runs on the
+    integer polynomials N_0 = P = a*p and Q = b*q, and then
+    f^(k)(t) = (b/a) * N_k(t) / Q(t)**(k+1).
+    """
     p = [as_rational(c) for c in num] or [Fraction(0)]
     q = [as_rational(c) for c in den] or [Fraction(0)]
+    a = lcm(*(c.denominator for c in p))
+    b = lcm(*(c.denominator for c in q))
+    q = [int(c * b) for c in q]
     q_prime = _poly_derive(q)
-    numerators = [p]
+    numerators = [[int(c * a) for c in p]]
 
     def numerator(k: int):
         while len(numerators) <= k:
             index = len(numerators) - 1
             n_k = numerators[index]
             nxt = [
-                a - b
-                for a, b in _pad(
+                x - y
+                for x, y in _pad(
                     _poly_mul(_poly_derive(n_k), q),
                     _poly_mul([(index + 1) * c for c in n_k], q_prime),
                 )
@@ -192,7 +200,7 @@ def reference_rational_oracle(num, den):
 
     def oracle(k: int, t: Fraction) -> Fraction:
         q_val = _poly_eval(q, t)
-        return _poly_eval(numerator(k), t) / q_val ** (k + 1)
+        return Fraction(b, a) * _poly_eval(numerator(k), t) / q_val ** (k + 1)
 
     return oracle, lambda t: _poly_eval(q, t) != 0
 

@@ -618,6 +618,13 @@ def test_depth_must_be_an_int(entry):
         call(2.5)
 
 
+@pytest.mark.parametrize("entry", sorted(_DEPTH_ENTRY_POINTS))
+def test_depth_refuses_a_bool(entry):
+    # A bool is an int to isinstance; ONE.invert(True) once answered 1.
+    with pytest.raises(TypeError, match="depth must be an int or None"):
+        _DEPTH_ENTRY_POINTS[entry](True)
+
+
 # One call per integer argument that sets an order, index, count, exponent
 # or floor, at ``n``; each accepts 2.  The second field is a value below the
 # least the argument accepts (None when every int is accepted), the third
@@ -687,7 +694,7 @@ _INTEGER_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("value", [1.5, Fraction(3, 2), "2"], ids=repr)
+@pytest.mark.parametrize("value", [1.5, Fraction(3, 2), "2", True], ids=repr)
 @pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRY_POINTS))
 def test_integer_argument_must_be_an_int(entry, value):
     call = _INTEGER_ENTRY_POINTS[entry][0]
