@@ -19,7 +19,11 @@ from types import SimpleNamespace
 # for --json and ``argparse`` only for help or a usage error, so one call
 # loads only what it needs.
 from .errors import MathDomainError, OmegaError
-from .rationals import DEFAULT_DEPTH, format_rational, format_rational_json, resolve_depth
+from .rationals import (
+    DEFAULT_DEPTH, as_rational, format_rational, format_rational_json, resolve_depth,
+)
+
+__all__ = ("build_parser", "main", "run")
 
 
 def _depth(args) -> int:
@@ -37,7 +41,7 @@ def _depth(args) -> int:
 
 def _rational_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return as_rational(text)
     except (ValueError, ZeroDivisionError):
         import argparse
 
@@ -46,7 +50,7 @@ def _rational_arg(text: str) -> Fraction:
 
 def _coeff_list(text: str):
     try:
-        return [Fraction(part.strip()) for part in text.split(",")]
+        return [as_rational(part) for part in text.split(",")]
     except (ValueError, ZeroDivisionError):
         import argparse
 

@@ -149,7 +149,7 @@ class CoeffTable(namedtuple("CoeffTable", "direction cutoff rows")):
             direction=data["direction"],
             cutoff=int(data["cutoff"]),
             rows=tuple(
-                tuple(Fraction(c) for c in row) for row in data["rows"]
+                tuple(map(as_rational, row)) for row in data["rows"]
             ),
         )
 

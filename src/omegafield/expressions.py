@@ -10,12 +10,13 @@ Grammar (whitespace-insensitive)::
            | 'inv' '(' expr ')' | 'sqrt' '(' expr ')'
            | 'pow' '(' expr ',' rational ')' | 'trunc' '(' expr ',' integer ')'
 
-Integer literals combined with '/' cover all rational constants.  Errors
-report a 1-based column.
+Integer literals and names are ASCII; integer literals combined with '/'
+cover all rational constants.  Errors report a 1-based column.
 """
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -24,8 +25,6 @@ from .errors import ExprSyntaxError
 from .series import OmegaNumber, S, o, resolve_depth
 
 __all__ = _EXPORTS["expressions"]
-
-_FUNCTIONS = ("inv", "sqrt", "pow", "trunc")
 
 
 class Expression(namedtuple("Expression", "op args")):
@@ -38,43 +37,28 @@ class Expression(namedtuple("Expression", "op args")):
         return f"{self.op}({inner})"
 
 
+#: One token per match; ``\s`` (the characters ``str.isspace`` accepts)
+#: separates them, and any other character is an error.
+_TOKEN = re.compile(
+    r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(),])|(?P<bad>\S)"
+)
 # kind is "int", "name", "op" or "end"; position is the 1-based column.
 _Token = namedtuple("_Token", "kind text position")
 
-
-def _tokenize(source: str):
-    tokens = []
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < len(source) and source[i].isdigit():
-                i += 1
-            tokens.append(_Token("int", source[start:i], start + 1))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < len(source) and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            tokens.append(_Token("name", source[start:i], start + 1))
-            continue
-        if ch in "+-*/^(),":
-            tokens.append(_Token("op", ch, i + 1))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i + 1)
-    tokens.append(_Token("end", "", len(source) + 1))
-    return tokens
+#: The binary operators by precedence level, loosest first; all associate
+#: to the left.
+_LEVELS = ({"+": "add", "-": "sub"}, {"*": "mul", "/": "div"})
 
 
 class _Parser:
     def __init__(self, source: str):
-        self.tokens = _tokenize(source)
-        self.index = 0
+        self.tokens, self.index = [], 0
+        for match in _TOKEN.finditer(source):
+            kind, text, position = match.lastgroup, match.group(), match.start() + 1
+            if kind == "bad":
+                raise ExprSyntaxError(f"unexpected character {text!r}", position)
+            self.tokens.append(_Token(kind, text, position))
+        self.tokens.append(_Token("end", "", len(source) + 1))
 
     @property
     def current(self) -> _Token:
@@ -86,14 +70,12 @@ class _Parser:
         return token
 
     def expect_op(self, text: str) -> _Token:
-        if self.current.kind == "op" and self.current.text == text:
+        if self.at_op(text):
             return self.advance()
         raise ExprSyntaxError(f"expected {text!r}", self.current.position)
 
     def at_op(self, *texts: str) -> bool:
         return self.current.kind == "op" and self.current.text in texts
-
-    # ------------------------------------------------------------------
 
     def parse(self) -> Expression:
         node = self.expr()
@@ -103,20 +85,15 @@ class _Parser:
             )
         return node
 
-    def expr(self) -> Expression:
-        node = self.term()
-        while self.at_op("+", "-"):
-            operator = self.advance().text
-            right = self.term()
-            node = Expression("add" if operator == "+" else "sub", (node, right))
-        return node
-
-    def term(self) -> Expression:
-        node = self.unary()
-        while self.at_op("*", "/"):
-            operator = self.advance().text
-            right = self.unary()
-            node = Expression("mul" if operator == "*" else "div", (node, right))
+    def expr(self, level: int = 0) -> Expression:
+        """A left-associative chain of the operators of ``_LEVELS[level]``,
+        one Python frame per level, as one function per level would take."""
+        operators, last = _LEVELS[level], level == len(_LEVELS) - 1
+        node = self.unary() if last else self.expr(level + 1)
+        while self.at_op(*operators):
+            operator = operators[self.advance().text]
+            right = self.unary() if last else self.expr(level + 1)
+            node = Expression(operator, (node, right))
         return node
 
     def unary(self) -> Expression:
@@ -168,6 +145,13 @@ class _Parser:
             return Fraction(numerator, denominator)
         return Fraction(numerator)
 
+    def order(self) -> int:
+        position = self.current.position
+        order = self.signed_integer()
+        if order < 0:
+            raise ExprSyntaxError("truncation order must be non-negative", position)
+        return order
+
     def atom(self) -> Expression:
         token = self.current
         if token.kind == "int":
@@ -177,7 +161,7 @@ class _Parser:
             if token.text in ("o", "S"):
                 return Expression("sym", (token.text,))
             if token.text in _FUNCTIONS:
-                return self.call(token)
+                return self.call(token.text)
             raise ExprSyntaxError(f"unknown name {token.text!r}", token.position)
         if self.at_op("("):
             self.advance()
@@ -189,24 +173,22 @@ class _Parser:
             token.position,
         )
 
-    def call(self, name: _Token) -> Expression:
+    def call(self, name: str) -> Expression:
         self.expect_op("(")
-        first = self.expr()
-        if name.text == "pow":
+        args = [self.expr()]
+        second = _FUNCTIONS[name]
+        if second is not None:
             self.expect_op(",")
-            alpha = self.rational_literal()
-            self.expect_op(")")
-            return Expression("pow", (first, alpha))
-        if name.text == "trunc":
-            self.expect_op(",")
-            position = self.current.position
-            order = self.signed_integer()
-            if order < 0:
-                raise ExprSyntaxError("truncation order must be non-negative", position)
-            self.expect_op(")")
-            return Expression("trunc", (first, order))
+            args.append(second(self))
         self.expect_op(")")
-        return Expression(name.text, (first,))
+        return Expression(name, tuple(args))
+
+
+#: Each function's reader of its second argument, None for a function of
+#: one argument.
+_FUNCTIONS = {
+    "inv": None, "sqrt": None, "pow": _Parser.rational_literal, "trunc": _Parser.order,
+}
 
 
 def parse(source: str) -> Expression:

@@ -148,7 +148,7 @@ class AlephNumber:
     def from_json(cls, data) -> "AlephNumber":
         if data.get("kind") != "aleph":
             raise ValueError("not a serialized infinite integer")
-        return cls([Fraction(c) for c in data["coeffs"]])
+        return cls(data["coeffs"])
 
 
 def _admissible(value: OmegaNumber) -> OmegaNumber:

@@ -24,16 +24,21 @@ __all__ = _EXPORTS["rationals"]
 
 
 def as_rational(value) -> Fraction:
-    """Coerce an int, Fraction or "num/den" string to an exact rational.
+    """Coerce an int, Fraction or string (``n``, ``n/d`` or a decimal) to
+    an exact rational; the one place a rational string is read.
 
-    Floats are rejected: they would silently smuggle binary rounding into
-    arithmetic that is exact by contract.
+    Floats and bools are rejected with TypeError: a float would smuggle
+    binary rounding into arithmetic that is exact by contract.  A string
+    in exponent notation raises ValueError before any conversion, since
+    ``Fraction("1e999999999")`` builds a billion-digit integer.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"exponent notation is not an exact rational: {value!r}")
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 

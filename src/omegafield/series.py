@@ -259,7 +259,7 @@ class OmegaNumber:
         return self._coerce(other) * self.invert()
 
     def __pow__(self, n: int) -> "OmegaNumber":
-        if not isinstance(n, int):
+        if not isinstance(n, int) or isinstance(n, bool):
             raise TypeError("use pow_alpha for non-integer exponents")
         if n < 0:
             return self.invert() ** (-n)
@@ -486,7 +486,7 @@ class OmegaNumber:
         if data.get("kind") != "omega":
             raise ValueError("not a serialized series value")
         floor = data.get("floor", "exact")
-        entries = [(int(e), Fraction(v)) for e, v in data.get("coeffs", {}).items()]
+        entries = [(int(e), v) for e, v in data.get("coeffs", {}).items()]
         return cls(entries, None if floor == "exact" else floor)
 
 

@@ -428,6 +428,18 @@ ARGPARSE_TEXT = [
      '                       [--g0 G0]\n'
      "omega integrate: error: argument --poly: not a coefficient list: 'x'\n",
     ),
+    # Exponent notation is refused before it is converted, so these end at once.
+    (["integrate", "--poly", "1", "--t", "1E99999999"], 2,
+     "",
+     'usage: omega integrate [-h] [--depth DEPTH] [--json] --poly POLY --t T [--k K]\n'
+     '                       [--g0 G0]\n'
+     "omega integrate: error: argument --t: not a rational: '1E99999999'\n",
+    ),
+    (["expand", "--num", "1e999999999", "--den", "1"], 2,
+     "",
+     'usage: omega expand [-h] [--depth DEPTH] [--json] --num NUM --den DEN\n'
+     "omega expand: error: argument --num: not a coefficient list: '1e999999999'\n",
+    ),
     (["eval", "o", "--dep", "3"], 0,
      'o\n',
      "",

@@ -88,6 +88,11 @@ class TestLazyNamespace:
         assert len(names) == len(set(names))
         assert set(names) == set(omegafield._EXPORTS[module]) | extra
 
+    def test_cli_star_import_binds_its_entry_points(self):
+        namespace = {}
+        exec("from omegafield.cli import *", namespace)
+        assert set(namespace) - {"__builtins__"} == {"build_parser", "main", "run"}
+
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="has no attribute 'nope'"):
             omegafield.nope

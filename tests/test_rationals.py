@@ -4,10 +4,15 @@ from fractions import Fraction
 import pytest
 
 from omegafield import (
+    ONE,
+    AlephNumber,
+    CoeffTable,
     DivisionByZeroError,
     IrrationalLeadingCoefficientError,
     NegativeBaseError,
+    OmegaNumber,
     as_rational,
+    omega,
     rational_pow,
 )
 from omegafield.rationals import format_rational, format_rational_json
@@ -22,6 +27,53 @@ class TestCoercion:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             as_rational(0.5)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bools(self, value):
+        with pytest.raises(TypeError, match="^expected an exact rational, got bool$"):
+            as_rational(value)
+
+    def test_accepts_decimals(self):
+        assert as_rational("-1.25") == Fraction(-5, 4)
+        assert as_rational(" 3/6 ") == Fraction(1, 2)
+
+    # Only strings refused before conversion: converting one would build
+    # an integer of a billion digits.
+    @pytest.mark.parametrize("text", ["1e999999999", "1E999999999", "2.5e-999999999", "1/1e9"])
+    def test_refuses_exponent_notation_at_once(self, text):
+        with pytest.raises(ValueError, match="^exponent notation is not an exact rational"):
+            as_rational(text)
+
+
+#: Each reader of a rational from outside, applied to one coefficient.
+READERS = {
+    "omega": omega,
+    "OmegaNumber.from_json": lambda c: OmegaNumber.from_json(
+        {"kind": "omega", "coeffs": {"0": c}, "floor": "exact"}),
+    "AlephNumber.from_json": lambda c: AlephNumber.from_json(
+        {"kind": "aleph", "coeffs": [c]}),
+    "CoeffTable.from_json": lambda c: CoeffTable.from_json(
+        {"kind": "coeff_table", "direction": "d_to_D", "cutoff": 1, "rows": [[c]]}),
+}
+
+
+class TestReaders:
+    """Every reader takes its rationals through ``as_rational``."""
+
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS)
+    def test_refuses_exponent_notation_at_once(self, read):
+        with pytest.raises(ValueError, match="^exponent notation is not an exact rational"):
+            read("1e999999999")
+
+    @pytest.mark.parametrize("value", [0.5, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS)
+    def test_refuses_floats_and_bools(self, read, value):
+        with pytest.raises(TypeError, match="^expected an exact rational, got "):
+            read(value)
+
+    def test_integer_power_refuses_a_bool(self):
+        with pytest.raises(TypeError, match="^use pow_alpha for non-integer exponents$"):
+            ONE ** True
 
 
 class TestFormatting:
