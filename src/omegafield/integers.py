@@ -24,7 +24,7 @@ from .errors import (
     PrecisionExhaustedError,
 )
 from .rationals import _as_int, as_rational, format_rational_json
-from .series import ComparisonResult, OmegaNumber
+from .series import ONE, ComparisonResult, OmegaNumber
 
 __all__ = _EXPORTS["integers"]
 
@@ -265,35 +265,35 @@ def integer_truncation(value: OmegaNumber) -> AlephNumber:
     and is decremented.  Requires value >= 0 with its sign and
     non-negative-exponent coefficients known.
     """
-    candidate = _truncation_candidate(value)
-    try:
-        relation = value.compare(embed(candidate))
-    except IndistinguishableError as exc:
-        raise PrecisionExhaustedError(
-            "fractional remainder is not resolvable at this precision"
-        ) from exc
-    if relation is ComparisonResult.LT:
-        candidate = predecessor(candidate)
-    return candidate
+    return _floor_quotient(value, ONE, value)
 
 
-def _truncation_candidate(value: OmegaNumber) -> AlephNumber:
-    # The positive-degree part of value plus its floored constant term.
+def _floor_quotient(num: OmegaNumber, den: OmegaNumber, quotient: OmegaNumber) -> AlephNumber:
+    # The integer L with L*den <= num < (L + 1)*den, for den > 0, where
+    # quotient is num/den, possibly truncated: the candidate read off the
+    # quotient is settled by one comparison of num with embed(L)*den.
     try:
-        sign = value.sign()
+        sign = quotient.sign()
     except IndistinguishableError as exc:
         raise PrecisionExhaustedError(
             "sign of the value is not known at this precision"
         ) from exc
     if sign < 0:
         raise MathDomainError("integer truncation requires a non-negative value")
-    if value.floor is not None and value.floor > 0:
+    if quotient.floor is not None and quotient.floor > 0:
         raise PrecisionExhaustedError(
             "constant coefficient of the value is unknown"
         )
-    coeffs = _coefficient_list(value)
+    coeffs = _coefficient_list(quotient)
     coeffs[0] = Fraction(coeffs[0].numerator // coeffs[0].denominator)
-    return AlephNumber(coeffs)
+    candidate = AlephNumber(coeffs)
+    try:
+        relation = num.compare(embed(candidate) * den)
+    except IndistinguishableError as exc:
+        raise PrecisionExhaustedError(
+            "fractional remainder is not resolvable at this precision"
+        ) from exc
+    return predecessor(candidate) if relation is ComparisonResult.LT else candidate
 
 
 def _coefficient_list(value: OmegaNumber) -> list:
@@ -304,20 +304,15 @@ def _coefficient_list(value: OmegaNumber) -> list:
 def archimedean_witness(a: OmegaNumber, b: OmegaNumber) -> AlephNumber:
     """An integer L with (L + 1) * a strictly above |b|, for a > 0.
 
-    Obtained as the integer truncation of |b| / a: some multiple of the
-    denominator always overtakes the numerator, whatever their orders of
-    magnitude.  When a and b are exact and |b| / a is exactly an infinite
-    integer, the truncated quotient agrees with it on every known
-    coefficient, so truncation alone cannot settle it; the candidate read
-    off the quotient is then confirmed by multiplying back.
+    The integer part of |b| / a: some multiple of the denominator always
+    overtakes the numerator, whatever their orders of magnitude.  The
+    candidate is read off the truncated quotient and settled against |b|
+    itself, so exact a and b decide whenever the quotient's integer part
+    lies within the working depth, also when |b| / a is an integer.
     """
     if a.sign() <= 0:
         raise MathDomainError("witness requires a positive denominator")
     if b.is_zero:
         return ALEPH_ZERO
-    quotient = abs(b) * a.invert()
-    if a.is_exact and b.is_exact:
-        candidate = _truncation_candidate(quotient)
-        if embed(candidate) * a == abs(b):
-            return candidate
-    return integer_truncation(quotient)
+    b = abs(b)
+    return _floor_quotient(b, a, b * a.invert())

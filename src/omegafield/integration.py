@@ -27,7 +27,8 @@ if TYPE_CHECKING:
 
 __all__ = _EXPORTS["integration"]
 
-DEFAULT_DEGREE_BOUND = 12
+#: The largest degree the lattice sum takes, that of faulhaber's power sums.
+_DEGREE_BOUND = 12
 
 
 class PolynomialFn:
@@ -36,14 +37,10 @@ class PolynomialFn:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Sequence, degree_bound: "int | None" = DEFAULT_DEGREE_BOUND):
+    def __init__(self, coeffs: Sequence):
         values = [as_rational(c) for c in coeffs] or [Fraction(0)]
         while len(values) > 1 and values[-1] == 0:
             values.pop()
-        if degree_bound is not None and len(values) - 1 > _as_int(degree_bound, "degree bound"):
-            raise MathDomainError(
-                f"degree {len(values) - 1} exceeds the bound {degree_bound}"
-            )
         self._coeffs = tuple(values)
 
     @property
@@ -74,20 +71,20 @@ class PolynomialFn:
         return f"PolynomialFn({list(self._coeffs)})"
 
 
-def faulhaber(j: int, degree_bound: "int | None" = DEFAULT_DEGREE_BOUND) -> PolynomialFn:
+def faulhaber(j: int) -> PolynomialFn:
     """Closed form of sum(n**j for n in range(L)) as a polynomial in L.
 
     Degree j + 1 with leading coefficient 1/(j+1) and zero constant
     term; the Bernoulli convention used here matches the lower-exclusive
-    sum, so faulhaber(j)(L) counts n = 0 .. L-1 exactly.
+    sum, so faulhaber(j)(L) counts n = 0 .. L-1 exactly.  Powers above
+    12 are refused.
     """
-    _as_int(j, "power", 0)
-    if degree_bound is not None and j > _as_int(degree_bound, "degree bound"):
-        raise MathDomainError(f"power {j} exceeds the bound {degree_bound}")
+    if _as_int(j, "power", 0) > _DEGREE_BOUND:
+        raise MathDomainError(f"power {j} exceeds the bound {_DEGREE_BOUND}")
     coeffs = [Fraction(0)] * (j + 2)
     for i in range(j + 1):
         coeffs[j + 1 - i] = Fraction(comb(j + 1, i), j + 1) * bernoulli(i)
-    return PolynomialFn(coeffs, degree_bound=None)
+    return PolynomialFn(coeffs)
 
 
 def discrete_integral(
@@ -98,8 +95,10 @@ def discrete_integral(
     Expands f(n*o)*o monomial by monomial, replaces each power sum by its
     closed form at the point count L = phi(upper), and evaluates exactly
     with L as the series S * (t + k*o) = t*S + k.  The empty sum returns
-    the integration constant g0.
+    the integration constant g0.  f of degree above 12 is refused.
     """
+    if f.degree > _DEGREE_BOUND:
+        raise MathDomainError(f"degree {f.degree} exceeds the bound {_DEGREE_BOUND}")
     if not upper.is_nonnegative:
         raise MathDomainError(f"{upper} is not in the non-negative lattice")
     count = S * upper.value()
@@ -115,7 +114,7 @@ def discrete_integral(
 def riemann(f: PolynomialFn, t) -> Fraction:
     """Exact antiderivative of f evaluated from 0 to t."""
     t = as_rational(t)
-    return t * PolynomialFn([a / (j + 1) for j, a in enumerate(f.coeffs)], None)(t)
+    return t * PolynomialFn([a / (j + 1) for j, a in enumerate(f.coeffs)])(t)
 
 
 def difference_equation_check(f: PolynomialFn, x1: R1Point, g0=Fraction(0)) -> bool:

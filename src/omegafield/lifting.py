@@ -192,10 +192,10 @@ def ns_diff_check(
 
 def polynomial_fn(coeffs: Sequence) -> LiftedFunction:
     """Exact polynomial with the given ascending coefficients."""
-    p = PolynomialFn(coeffs, None)
+    p = PolynomialFn(coeffs)
 
     def oracle(k: int, t: Fraction) -> Fraction:
-        return PolynomialFn([perm(i, k) * a for i, a in enumerate(p.coeffs[k:], k)], None)(t)
+        return PolynomialFn([perm(i, k) * a for i, a in enumerate(p.coeffs[k:], k)])(t)
 
     label = "poly(" + ",".join(str(v) for v in p.coeffs) + ")"
     return LiftedFunction(oracle=oracle, degree=p.degree, label=label)
@@ -209,7 +209,7 @@ def rational_fn(num: Sequence, den: Sequence) -> LiftedFunction:
     point's expansion is kept; an order below its floor expands again,
     to twice that order.  A pole raises ZeroDivisionError.
     """
-    p, q = PolynomialFn(num, None), PolynomialFn(den, None)
+    p, q = PolynomialFn(num), PolynomialFn(den)
     if q.coeffs == (0,):
         raise MathDomainError("zero denominator polynomial")
     last = {"t": None}

@@ -30,7 +30,8 @@ def as_rational(value) -> Fraction:
     Floats and bools are rejected with TypeError: a float would smuggle
     binary rounding into arithmetic that is exact by contract.  A string
     in exponent notation raises ValueError before any conversion, since
-    ``Fraction("1e999999999")`` builds a billion-digit integer.
+    ``Fraction("1e999999999")`` builds a billion-digit integer; so does one
+    with an underscore, or a non-ASCII character inside surrounding space.
     """
     if isinstance(value, Fraction):
         return value
@@ -39,6 +40,8 @@ def as_rational(value) -> Fraction:
     if isinstance(value, str):
         if "e" in value or "E" in value:
             raise ValueError(f"exponent notation is not an exact rational: {value!r}")
+        if "_" in value or not value.strip().isascii():
+            raise ValueError(f"not a plain ASCII rational: {value!r}")
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 

@@ -198,6 +198,11 @@ class TestIntegrate:
         )
         assert code == 3
 
+    def test_degree_above_the_bound(self, capsys):
+        poly = ",".join(["0"] * 13 + ["1"])
+        code, out, err = run_cli(capsys, "integrate", "--poly", poly, "--t", "1")
+        assert (code, out, err) == (3, "", "error: degree 13 exceeds the bound 12\n")
+
 
 class TestCoeffs:
     def test_x_family(self, capsys):
@@ -434,6 +439,13 @@ ARGPARSE_TEXT = [
      'usage: omega integrate [-h] [--depth DEPTH] [--json] --poly POLY --t T [--k K]\n'
      '                       [--g0 G0]\n'
      "omega integrate: error: argument --t: not a rational: '1E99999999'\n",
+    ),
+    # Rational strings are ASCII, as expression literals are.
+    (["integrate", "--poly", "1", "--t", "\u0663"], 2,
+     "",
+     'usage: omega integrate [-h] [--depth DEPTH] [--json] --poly POLY --t T [--k K]\n'
+     '                       [--g0 G0]\n'
+     "omega integrate: error: argument --t: not a rational: '\u0663'\n",
     ),
     (["expand", "--num", "1e999999999", "--den", "1"], 2,
      "",

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from omegafield import (
     ALEPH_ONE,
@@ -378,6 +379,60 @@ class TestArchimedeanWitness:
             b = random_omega(rng, lo=-3, hi=3)
             witness = archimedean_witness(a, b)
             assert (embed(successor(witness)) * a).compare(abs(b)) is GT
+
+
+# Sampled from a list, one draw each: drawing is most of these tests' time.
+rationals = st.sampled_from([Fraction(n, d) for n in range(-9, 10) if n for d in range(1, 7)])
+
+
+@st.composite
+def exact_values(draw, lo=-8, hi=8):
+    """An exact nonzero value with support inside [lo, hi]."""
+    exponents = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=4, unique=True))
+    return OmegaNumber([(e, draw(rationals)) for e in exponents])
+
+
+@st.composite
+def near_multiples(draw, unit):
+    """unit*(L + c*o^m) or unit*L + c*o^m for an infinite integer L and m
+    from 0 to 24, on either side of the working depth."""
+    whole = [draw(st.integers(0, 5)), *draw(st.lists(st.sampled_from([1, 2]), max_size=2))]
+    whole = embed(AlephNumber(whole))
+    nudge = draw(rationals) * o ** draw(st.integers(0, 24))
+    return unit * (whole + nudge) if draw(st.booleans()) else unit * whole + nudge
+
+
+@st.composite
+def witness_pairs(draw):
+    a = abs(draw(exact_values()))
+    return a, draw(exact_values() | near_multiples(a) | st.just(ZERO))
+
+
+floor_property = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+class TestFloorProperty:
+    """The floor contract on generated exact inputs."""
+
+    @floor_property
+    @given(value=exact_values() | near_multiples(ONE) | st.just(ZERO))
+    def test_truncation_within_one_unit(self, value):
+        value = abs(value)
+        result = embed(integer_truncation(value))
+        assert result.compare(value) is not GT
+        assert value.compare(result + 1) is LT
+
+    # While b.top - a.top <= 16 the inverse of a, carried 16 orders below
+    # its leading term, still reaches the constant term of |b| / a; past
+    # that span a refusal is the correct answer.
+    @floor_property
+    @given(pair=witness_pairs())
+    def test_witness_decides_within_the_working_depth(self, pair):
+        a, b = pair
+        assume(b.is_zero or b.top - a.top <= 16)
+        witness = embed(archimedean_witness(a, b))
+        assert (witness * a).compare(abs(b)) is not GT
+        assert ((witness + 1) * a).compare(abs(b)) is GT
 
 
 class TestAlephHash:

@@ -194,9 +194,11 @@ class TestSurrogateSum:
 
 class TestPolynomialFn:
     def test_degree_bound_enforced(self):
-        with pytest.raises(MathDomainError):
-            PolynomialFn([0] * 13 + [1])
-        PolynomialFn([0] * 13 + [1], degree_bound=None)
+        # The polynomial builds; the lattice sum refuses its degree.
+        f = PolynomialFn([0] * 13 + [1])
+        assert f.degree == 13
+        with pytest.raises(MathDomainError, match=r"^degree 13 exceeds the bound 12$"):
+            discrete_integral(f, R1Point(Fraction(1), 0))
 
     def test_series_evaluation_matches_rational(self, rng):
         for _ in range(20):

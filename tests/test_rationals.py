@@ -44,6 +44,21 @@ class TestCoercion:
         with pytest.raises(ValueError, match="^exponent notation is not an exact rational"):
             as_rational(text)
 
+    # Fraction itself would read these as one half, a thousand and three.
+    @pytest.mark.parametrize("text", ["\u0661/\u0662", "1_000", "\u0663"])
+    def test_refuses_non_ascii_and_underscores(self, text):
+        with pytest.raises(ValueError, match="^not a plain ASCII rational"):
+            as_rational(text)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("7", 7), ("-3/4", Fraction(-3, 4)), ("1.5", Fraction(3, 2)),
+         (".5", Fraction(1, 2)), (" 1/2 ", Fraction(1, 2)),
+         ("\u30001/2\u3000", Fraction(1, 2))],
+    )
+    def test_reads_ascii_inside_any_whitespace(self, text, value):
+        assert as_rational(text) == value
+
 
 #: Each reader of a rational from outside, applied to one coefficient.
 READERS = {

@@ -683,8 +683,6 @@ _INTEGER_ENTRY_POINTS = {
     "oplus_inductive": (lambda n: oplus_inductive(SIGMA, n), -1, "steps must be non-negative"),
     "otimes_inductive": (lambda n: otimes_inductive(SIGMA, n), -1, "factor must be non-negative"),
     "faulhaber": (lambda n: faulhaber(n), -1, "power must be non-negative"),
-    "faulhaber degree_bound": (lambda n: faulhaber(1, n), None, None),
-    "PolynomialFn degree_bound": (lambda n: PolynomialFn([0, 1], n), None, None),
     "AlephNumber coefficient": (lambda n: SIGMA.coefficient(n), None, None),
     "ns_continuity_check": (
         lambda n: ns_continuity_check(PolynomialFn([0, 1]), R1Point(1, 0), n),
