@@ -147,7 +147,7 @@ class CoeffTable(namedtuple("CoeffTable", "direction cutoff rows")):
             raise ValueError("not a serialized coefficient table")
         return cls(
             direction=data["direction"],
-            cutoff=int(data["cutoff"]),
+            cutoff=_as_int(data["cutoff"], "cutoff", 1),
             rows=tuple(
                 tuple(map(as_rational, row)) for row in data["rows"]
             ),

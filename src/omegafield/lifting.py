@@ -17,24 +17,18 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from decimal import Decimal, Overflow, Underflow, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, floor, log10, perm
+from math import comb, factorial, log, log2, log10, perm
 
 from . import _EXPORTS
 from .coefficients import CoeffTable, D_to_d_table, binomial_general, d_to_D_table
 from .errors import MathDomainError, PrecisionExhaustedError
 from .integration import PolynomialFn
-from .rationals import _as_int, as_rational, format_rational, rational_pow
+from .rationals import _VALUE_LIMIT_BITS, _as_int, as_rational, format_rational, rational_pow
 from .series import OmegaNumber, ZERO, expand_rational, o as O_UNIT, resolve_depth
 
 __all__ = [*_EXPORTS["lifting"], "CoeffTable", "d_to_D_table", "D_to_d_table"]
-
-# Significant digits of the exp, log, sin and cos oracle values.
-DECIMAL_DIGITS = 50
-# Integer digits of the largest point sin and cos reduce modulo 2*pi.
-_SIN_COS_DIGITS = 10_000
 
 
 class LiftedFunction(namedtuple("LiftedFunction", "oracle domain degree label")):
@@ -42,12 +36,12 @@ class LiftedFunction(namedtuple("LiftedFunction", "oracle domain degree label"))
 
     ``oracle(k, t)`` returns the exact rational used for the k-th
     derivative at the standard point t.  For ``exp_fn``, ``log_fn``,
-    ``sin_fn`` and ``cos_fn`` that rational is a ``DECIMAL_DIGITS``-digit
-    decimal approximation of a transcendental value, converted exactly;
-    everything downstream stays exact arithmetic on it.  ``domain(t)``
-    tells whether t is a point of the domain (every t by default).
-    ``degree`` marks oracles that vanish beyond a finite order, so
-    polynomial lifts terminate and come back exact.
+    ``sin_fn`` and ``cos_fn`` that rational is a binary fraction within
+    2**-170 of the transcendental value, relative to its size (see
+    ``VALUE_BITS``); everything downstream stays exact arithmetic on it.
+    ``domain(t)`` tells whether t is a point of the domain (every t by
+    default).  ``degree`` marks oracles that vanish beyond a finite order,
+    so polynomial lifts terminate and come back exact.
     """
 
     __slots__ = ()
@@ -56,19 +50,16 @@ class LiftedFunction(namedtuple("LiftedFunction", "oracle domain degree label"))
         return super().__new__(cls, oracle, domain, degree, label)
 
     def derivative_at(self, k: int, t: Fraction) -> Fraction:
-        """The oracle's k-th derivative at t; a decimal oracle whose value
-        or point leaves ``decimal``'s exponent range, or a sin or cos point
-        too long to reduce, raises PrecisionExhaustedError."""
+        """The oracle's k-th derivative at t; an exp whose value would pass
+        the size limit, or a sin or cos point too long to reduce, raises
+        PrecisionExhaustedError before any sum."""
         _as_int(k, "derivative order", 0)
         if self.degree is not None and k > self.degree:
             return Fraction(0)
         try:
             return self.oracle(k, t)
         except _PointOutOfRange as exc:
-            problem, cause = exc.args[0], None
-        except (Overflow, Underflow) as exc:
-            problem, cause = "leaves the decimal exponent range", exc
-        raise PrecisionExhaustedError(f"{self.label} at {_point_text(t)} {problem}") from cause
+            raise PrecisionExhaustedError(f"{self.label} at {_point_text(t)} {exc}") from None
 
     def in_domain(self, t: Fraction) -> bool:
         return self.domain(t)
@@ -262,151 +253,150 @@ def power_fn(alpha) -> LiftedFunction:
 
 
 # ----------------------------------------------------------------------
-# fixed-precision transcendental oracles
+# transcendental oracles in binary fixed point
 
-# These functions have irrational values at almost every rational point,
-# so their standard parts are carried as fixed-precision decimals and
-# converted to exact rationals before entering series arithmetic.
+# An integer X "at w bits" stands for X / 2**w; a unit is 2**-w.  Each helper
+# bounds its error in units; each oracle sums at w >= VALUE_BITS + _GUARD bits
+# and shows its error below 2**(_GUARD - w) of its value (Brent & Zimmermann,
+# Modern Computer Arithmetic, ch. 4).
+VALUE_BITS = 170
+_GUARD = 12
+_SIN_COS_DIGITS = 10_000  # integer digits of the largest point sin and cos take
 
 
 class _PointOutOfRange(ArithmeticError):
-    """A point refused before it is converted; ``args[0]`` says why."""
+    """A point refused before any sum; ``args[0]`` says why."""
+
+
+def _bits(t: Fraction) -> int:
+    """The b with 2**(b - 1) < |t| < 2**(b + 1), for t != 0."""
+    return t.numerator.bit_length() - t.denominator.bit_length()
 
 
 def _point_text(t: Fraction) -> str:
     # The point itself, or "about 10^N" once it has more than 50 digits.
     if max(abs(t.numerator), t.denominator) < 10**50:
         return format_rational(t)
-    bits = t.numerator.bit_length() - t.denominator.bit_length()
-    return f"about {'-' if t < 0 else ''}10^{round(bits * log10(2))}"
+    return f"about {'-' if t < 0 else ''}10^{round(_bits(t) * log10(2))}"
 
 
-def _check_range(t: Fraction, ctx) -> None:
-    # log2|t| lies strictly between bits - 1 and bits + 1.  Checked before
-    # the point is converted, which costs time in its number of digits.
-    if t == 0:
-        return
-    bits = t.numerator.bit_length() - t.denominator.bit_length()
-    if (bits - 1) * log10(2) > ctx.Emax + 2 or (bits + 1) * log10(2) < ctx.Etiny() - 2:
-        raise _PointOutOfRange("leaves the decimal exponent range")
+def _arc(p: int, q: int, w: int, sign: int) -> int:
+    """The sum of sign**j y**(2j+1) / (2j+1) at w bits, y = p/q in [0, 1/3]:
+    atan(y) for sign -1, atanh(y) for +1.  Each power floors once and errs
+    by < 1/(1 - y*y) <= 9/8 units, each term by < 11/8, the tail by < 1/2:
+    fewer than 2(N + 1) units for N terms, N <= L/3 + 1 for L first bits."""
+    power, total, n, s = (p << w) // q, 0, 1, 1
+    while power:
+        total += s * (power // n)
+        power = power * p * p // (q * q)
+        n, s = n + 2, s * sign
+    return total
 
 
-def _digit_count(n: int) -> int:
-    # Digits of n != 0: its bit length gives the count or one less.
-    d = floor((n.bit_length() - 1) * log10(2)) + 1
-    return d + (abs(n) >= 10**d)
+def _taylor(x: int, w: int, i: int, step: int, sign: int) -> int:
+    """The sum of sign**j x**n / n! over n = i, i + step, ... at w bits, for
+    0 <= x <= 2**w, i in (0, 1).  Each term after the exact first floors once
+    and, from the third on, is at most half the one before: it errs by < 2
+    units, the tail by < 4, the sum by < 2(N + 1) for N <= L + 2 terms of L bits."""
+    term, total, n, s, power = x if i else 1 << w, 0, i, 1, x**step
+    while term:
+        total += s * term
+        term = (term * power >> step * w) // perm(n + step, step)
+        n, s = n + step, s * sign
+    return total
 
 
-def _decimal_quotient(num: int, den: int) -> Decimal:
-    """num / den, den > 0, rounded once by the current context, as
-    ``Decimal(num) / Decimal(den)`` is, in time about linear in their
-    digits; ``Decimal(int)`` alone is quadratic in them."""
-    # An integer quotient with at least three digits beyond the precision,
-    # and a last, sticky digit that is 1 when the division left a remainder.
-    scale = getcontext().prec + 3 - floor((num.bit_length() - den.bit_length() - 1) * log10(2))
-    q, r = divmod(abs(num) * 10 ** max(scale, 0), den * 10 ** max(-scale, 0))
-    value = Decimal((-1 if num < 0 else 1) * (10 * q + (r != 0))).scaleb(-scale - 1)
-    # An exact quotient sheds its padding zeros; shorter digits compute faster.
-    return value if r else value.normalize()
+def _pi(w: int) -> int:
+    """pi = 16 atan(1/5) - 4 atan(1/239) at w bits, within 2 units: at
+    g = bit_length(w) + 5 more bits the sums err by < 40((w + g)/3 + 2) < 2**g."""
+    g = w.bit_length() + 5
+    return 4 * (4 * _arc(1, 5, w + g, -1) - _arc(1, 239, w + g, -1)) >> g
 
 
-def _to_decimal(t: Fraction) -> Decimal:
-    with localcontext() as ctx:
-        ctx.prec = DECIMAL_DIGITS + 10
-        ctx.traps[Underflow] = True  # a point too small raises, never rounds to 0
-        _check_range(t, ctx)
-        return _decimal_quotient(t.numerator, t.denominator)
+def _exp(t: Fraction) -> Fraction:
+    """exp(t) = 2**n exp(r), n nearest t / log 2; a |t| whose value passes
+    the size limit is refused.  At w + 32 bits t floors within 1 unit and
+    log 2 = 2 atanh(1/3) within 2**9, so n log 2 (|n| < 2**22) errs by
+    < 2**31 and r (|r| < 0.35), shifted to w bits, by < 2 units.  The sum
+    (N <= w + 3) errs by < 2w + 8 units, r's error adds < 2.9, and exp(r) >
+    0.7: the error is below 1.43 (2w + 11) 2**-w of the value."""
+    if abs(t) > int(_VALUE_LIMIT_BITS * log(2)):
+        raise _PointOutOfRange(f"has a value of more than {_VALUE_LIMIT_BITS} bits")
+    w = VALUE_BITS + _GUARD
+    ln2, x = 2 * _arc(1, 3, w + 32, 1), (t.numerator << w + 32) // t.denominator
+    n = (2 * x + ln2) // (2 * ln2)
+    x -= n * ln2
+    return Fraction(2) ** (n - w) * _taylor(abs(x) >> 32, w, 0, 1, 1 if x >= 0 else -1)
 
 
-def _decimal_pi() -> Decimal:
-    """Pi at the current precision, by the ``decimal`` documentation's recipe."""
-    with localcontext() as ctx:
-        ctx.prec += 2
-        lasts, term, total, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
-        while total != lasts:
-            lasts = total
-            n, na = n + na, na + 8
-            d, da = d + da, da + 32
-            term = (term * n) / d
-            total += term
-    return +total
+def _log(t: Fraction) -> Fraction:
+    """log t = e log 2 + 2 atanh(y), t = 2**e m, m in [2/3, 4/3], y = (m - 1)
+    / (m + 1) in [-1/5, 1/7].  Flooring y costs < 2.1 units, the doubled sum
+    < 4(N + 1), e log 2 < 2 (summed at 10 + bit_length(e) more bits, within
+    2**9 units there).  For e != 0, |log t| > 0.28 and N <= w/3 + 1:
+    below 3.6 (4w/3 + 13) 2**-w of the value.  For e = 0 the sum takes w'
+    bits, one more than y has leading zeros beyond w, so |log t| >= 2|y| >
+    2**(w + 1 - w') and N <= (w + 2)/3 + 1: below (4w/3 + 13) 2**(-w - 1)."""
+    num, den, e = t.numerator, t.denominator, _bits(t)
+    a, c = (num, den << e) if e >= 0 else (num << -e, den)
+    if 3 * a > 4 * c:
+        c, e = c << 1, e + 1
+    elif 3 * a < 2 * c:
+        a, e = a << 1, e - 1
+    w = VALUE_BITS + _GUARD + (0 if e else (a + c).bit_length() - abs(a - c).bit_length() + 1)
+    atanh = 2 * _arc((abs(a - c) << w) // (a + c), 1 << w, w, 1)
+    shift = e.bit_length() + 10
+    total = (e * 2 * _arc(1, 3, w + shift, 1) >> shift if e else 0) + (atanh if a >= c else -atanh)
+    return Fraction(total, 1 << w)
 
 
-def _reduce_mod_2pi(t: Fraction) -> Decimal:
-    """t minus the nearest multiple of 2*pi, to about 62 digits after the point.
-
-    The multiple of 2*pi is as large as t, so the subtraction is carried
-    out with at least one extra digit per integer digit of t; a t with more
-    than ``_SIN_COS_DIGITS`` integer digits is refused.
-    """
-    whole_digits = _digit_count(t.numerator) - _digit_count(t.denominator) + 2
-    if whole_digits >= _SIN_COS_DIGITS + 2 and abs(t) >= 10**_SIN_COS_DIGITS:
+def _sin_cycle(t: Fraction) -> tuple:
+    """(sin t, cos t, -sin t, -cos t), from t = k pi/2 + r with k nearest
+    2t/pi and |r| <= pi/4; a |t| of more than _SIN_COS_DIGITS integer digits
+    is refused, by bit length first.  At u = v + max(b, 0) + 2 bits, where
+    |t| < 2**(b + 1), t floors within 1 unit and k pi/2 within 2|k|, so r
+    errs by < 2.2 units at v.  v starts at w + 4 and grows until r >=
+    2**(w - v) (t = 0 sums exactly); then r < 2**(w - v + 4).  sin r >= 0.9r,
+    and its sum (N <= w + 6) errs by < 2w + 17 units with r's error: below
+    1.12 (2w + 17) 2**-w of it.  cos r >= 0.7, and its sum (N <= v + 3) errs
+    by < 2v + 11 units: below 1.43 (2w + 11) 2**-w of it, as v >= w."""
+    bits = _bits(t)
+    if bits >= int(_SIN_COS_DIGITS * log2(10)) and abs(t) >= 10**_SIN_COS_DIGITS:
         raise _PointOutOfRange(
             f"has more than {_SIN_COS_DIGITS} integer digits to reduce modulo 2*pi"
         )
-    with localcontext() as ctx:
-        ctx.prec = DECIMAL_DIGITS + 12 + whole_digits
-        x = _decimal_quotient(t.numerator, t.denominator)
-        two_pi = 2 * _decimal_pi()
-        return x - two_pi * (x / two_pi).to_integral_value()
-
-
-def _decimal_sin_cos(t: Fraction):
-    # Taylor summation at extended precision, stopping once the partial
-    # sums stop moving at the working precision.  Beyond |t| = 3 the sum
-    # would cancel away about 0.43 digits per unit of |t|, so t is first
-    # reduced modulo 2*pi; below pi the nearest multiple of 2*pi is 0.
-    with localcontext() as ctx:
-        ctx.prec = DECIMAL_DIGITS + 12
-        x = _to_decimal(t) if abs(t) <= 3 else _reduce_mod_2pi(t)
-        xx = x * x
-        sin_acc = _alternating_taylor_sum(x, 1, xx)
-        cos_acc = _alternating_taylor_sum(Decimal(1), 0, xx)
-        ctx.prec = DECIMAL_DIGITS
-        return +sin_acc, +cos_acc
-
-
-def _alternating_taylor_sum(first: Decimal, i: int, xx: Decimal) -> Decimal:
-    # first - first*xx/((i+1)(i+2)) + first*xx**2/((i+1)...(i+4)) - ...,
-    # summed at the current precision until the partial sums stop moving:
-    # sin from first = x, i = 1 and cos from first = 1, i = 0.
-    last, acc, fact, num, sign = 0, first, 1, first, 1
-    while acc != last:
-        last = acc
-        i += 2
-        fact *= i * (i - 1)
-        num *= xx
-        sign *= -1
-        acc += num / fact * sign
-    return acc
+    w, v = VALUE_BITS + _GUARD, VALUE_BITS + _GUARD + 4
+    while True:
+        u = v + max(bits, 0) + 2
+        half_pi, x = _pi(u - 1), (t.numerator << u) // t.denominator
+        k = (2 * x + half_pi) // (2 * half_pi)
+        x -= k * half_pi
+        r = abs(x) >> u - v
+        if r >> w or t == 0:
+            break
+        v += w - r.bit_length() + 2
+    sin_r, cos_r = (1 if x >= 0 else -1) * _taylor(r, v, 1, 2, -1), _taylor(r, v, 0, 2, -1)
+    cycle = tuple(Fraction(n, 1 << v) for n in (sin_r, cos_r, -sin_r, -cos_r))
+    return cycle[k % 4 :] + cycle[: k % 4]
 
 
 def exp_fn() -> LiftedFunction:
     """Exponential; every derivative is the function itself, so the last
     point's value serves every order."""
-
-    @lru_cache(maxsize=1)
-    def value(t: Fraction) -> Fraction:
-        with localcontext() as ctx:
-            ctx.prec = DECIMAL_DIGITS
-            ctx.traps[Underflow] = True
-            return Fraction(_to_decimal(t).exp())
-
+    value = lru_cache(maxsize=1)(_exp)
     return LiftedFunction(oracle=lambda k, t: value(t), label="exp")
 
 
 def log_fn() -> LiftedFunction:
     """Natural logarithm on t > 0.
 
-    Only the value itself needs decimals; every higher derivative
+    Only the value itself is summed; every higher derivative
     (-1)**(k-1) (k-1)! / t**k is an exact rational.
     """
 
     def oracle(k: int, t: Fraction) -> Fraction:
         if k == 0:
-            with localcontext() as ctx:
-                ctx.prec = DECIMAL_DIGITS
-                return Fraction(_to_decimal(t).ln())
+            return _log(t)
         return Fraction((-1) ** (k - 1) * factorial(k - 1)) / t**k
 
     return LiftedFunction(oracle=oracle, domain=lambda t: t > 0, label="log")
@@ -416,13 +406,7 @@ def sin_fn() -> LiftedFunction:
     """Sine; derivatives cycle through sin, cos, -sin, -cos, all four
     kept for the last point."""
 
-    @lru_cache(maxsize=1)
-    def cycle(t: Fraction) -> tuple:
-        # Negate after the exact conversion: unary minus on a Decimal
-        # rounds to the ambient context and would corrupt the digits.
-        sin_t, cos_t = map(Fraction, _decimal_sin_cos(t))
-        return sin_t, cos_t, -sin_t, -cos_t
-
+    cycle = lru_cache(maxsize=1)(_sin_cycle)
     return LiftedFunction(oracle=lambda k, t: cycle(t)[k % 4], label="sin")
 
 

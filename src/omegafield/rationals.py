@@ -18,6 +18,7 @@ from .errors import (
     IrrationalLeadingCoefficientError,
     MathDomainError,
     NegativeBaseError,
+    PrecisionExhaustedError,
 )
 
 __all__ = _EXPORTS["rationals"]
@@ -60,6 +61,10 @@ def _as_int(value, name: str, least: "int | None" = None) -> int:
         raise ValueError(f"{name} must be {bound}")
     return value
 
+
+# The size limit: bits of the largest numerator or denominator that a power
+# or an exp may build, about 10**1,000,000.
+_VALUE_LIMIT_BITS = 3_321_928
 
 #: Default number of infinitesimal orders carried by truncating operations.
 DEFAULT_DEPTH = 16
@@ -138,10 +143,18 @@ def rational_pow(base: Fraction, exponent: Fraction) -> Fraction:
 
     Raises NegativeBaseError for a non-integer power of a negative base
     and IrrationalLeadingCoefficientError when no exact rational root
-    exists.
+    exists.  A power p/q of an n-bit base has at least (n - 1)|p|/q bits;
+    past the size limit it raises PrecisionExhaustedError before building
+    anything.
     """
     base = as_rational(base)
     exponent = as_rational(exponent)
+    size = max(base.numerator.bit_length(), base.denominator.bit_length())
+    if abs(exponent.numerator) * (size - 1) > _VALUE_LIMIT_BITS * exponent.denominator:
+        raise PrecisionExhaustedError(
+            f"power {format_rational(exponent)} of a {size}-bit base has more than "
+            f"{_VALUE_LIMIT_BITS} bits"
+        )
     if exponent.denominator == 1:
         return base ** int(exponent)
     if base < 0:

@@ -486,8 +486,10 @@ class OmegaNumber:
         if data.get("kind") != "omega":
             raise ValueError("not a serialized series value")
         floor = data.get("floor", "exact")
-        entries = [(int(e), v) for e, v in data.get("coeffs", {}).items()]
-        return cls(entries, None if floor == "exact" else floor)
+        entries = [(as_rational(e), v) for e, v in data.get("coeffs", {}).items()]
+        if any(e.denominator != 1 for e, _ in entries):
+            raise ValueError("exponents must be integers")
+        return cls([(int(e), v) for e, v in entries], None if floor == "exact" else floor)
 
 
 def _exponent_symbol(e: int):

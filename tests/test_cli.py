@@ -71,6 +71,11 @@ class TestEval:
         assert (code, out) == (3, "")
         assert err == "error: 2 has no exact rational 99999999999-th root\n"
 
+    def test_power_beyond_the_size_limit(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "pow(4+o, 99999999999/2)")
+        assert (code, out) == (4, "")
+        assert err == "error: power 99999999999/2 of a 3-bit base has more than 3321928 bits\n"
+
     def test_moderate_nesting_evaluates(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "(" * 50 + "1+o" + ")" * 50)
         assert (code, out) == (0, "1 + o\n")

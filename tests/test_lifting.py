@@ -1,5 +1,4 @@
 import time
-from decimal import Decimal, Overflow, Underflow, localcontext
 from fractions import Fraction
 
 import pytest
@@ -34,13 +33,7 @@ from omegafield import (
 )
 from omegafield import lifting
 from omegafield.errors import OmegaError
-from omegafield.lifting import (
-    DECIMAL_DIGITS,
-    _decimal_quotient,
-    _decimal_sin_cos,
-    _reduce_mod_2pi,
-    _to_decimal,
-)
+from omegafield.lifting import _sin_cycle
 from omegafield.rationals import as_rational, rational_pow
 from conftest import random_infinitesimal, random_rational
 
@@ -356,6 +349,23 @@ class TestNsDiffCheck:
             ns_diff_check(f, Fraction(0), ONE)
 
 
+def timed_outcome(f, t):
+    """f's value at t, or the message it is refused with, within 2 s."""
+    start = time.perf_counter()
+    try:
+        outcome = f.derivative_at(0, t)
+    except PrecisionExhaustedError as exc:
+        outcome = str(exc)
+    assert time.perf_counter() - start < 2
+    return outcome
+
+
+def is_log_of_power_of_ten(value, power):
+    # log 10^p = p log 10, each log within 2^-170 of its size.
+    reference = power * log_fn().derivative_at(0, Fraction(10))
+    return abs(value - reference) <= abs(reference) * Fraction(1, 2**168)
+
+
 class TestTranscendental:
     def test_exp_at_infinitesimal(self):
         value = lift_eval(exp_fn(), o, 4)
@@ -394,39 +404,37 @@ class TestTranscendental:
 
     @pytest.mark.parametrize("t", [10**7, -(10**7)])
     def test_exp_outside_the_decimal_range_raises(self, t):
-        with pytest.raises(PrecisionExhaustedError, match=f"exp at {t} leaves"):
+        with pytest.raises(PrecisionExhaustedError) as caught:
             lift_eval(exp_fn(), omega(t), 1)
+        assert str(caught.value) == f"exp at {t} has a value of more than 3321928 bits"
 
+    # An int power p marks a log at 10^p, which answers rather than refuses.
     @pytest.mark.parametrize(
         "f, t, power",
         [
             (exp_fn(), Fraction(10**1000100), "10^1000100"),
             (exp_fn(), Fraction(-(10**1000100)), "-10^1000100"),
-            (log_fn(), Fraction(1, 10**1000100), "10^-1000100"),
+            (log_fn(), Fraction(1, 10**1000100), -1000100),
         ],
         ids=("exp-huge", "exp-huge-negative", "log-tiny"),
     )
     def test_point_beyond_the_decimal_range_raises_at_once(self, f, t, power):
-        # Converting the million-digit point, or printing it, takes seconds.
-        start = time.perf_counter()
-        with pytest.raises(PrecisionExhaustedError) as caught:
-            f.derivative_at(0, t)
-        assert time.perf_counter() - start < 2
-        assert str(caught.value) == (
-            f"{f.label} at about {power} leaves the decimal exponent range"
-        )
+        outcome = timed_outcome(f, t)
+        if isinstance(power, int):
+            assert is_log_of_power_of_ten(outcome, power)
+        else:
+            assert outcome == f"exp at about {power} has a value of more than 3321928 bits"
 
     def test_point_with_a_million_digits_converts_quickly(self):
         start = time.perf_counter()
         value = exp_fn().derivative_at(0, Fraction(1, 10**1000000))
         assert time.perf_counter() - start < 2
-        assert value == 1  # e^(10^-1000000) to 50 digits
+        assert value == 1  # e^(10^-1000000) to 170 bits
 
     @pytest.mark.parametrize(
         "f, t, text",
         [
-            # Passes the range check's slack, then underflows on conversion.
-            (log_fn(), Fraction(1, 10**1000059), "about 10^-1000059"),
+            (log_fn(), Fraction(1, 10**1000059), -1000059),
             (exp_fn(), Fraction(10**50), "about 10^50"),
             (exp_fn(), Fraction(-(10**60), 7), "about -10^59"),
             (exp_fn(), Fraction(10**49), str(10**49)),
@@ -434,11 +442,11 @@ class TestTranscendental:
         ids=("log-near-the-edge", "exp-51-digits", "exp-negative", "exp-50-digits"),
     )
     def test_long_point_leaving_the_range_is_named_by_its_power_of_ten(self, f, t, text):
-        start = time.perf_counter()
-        with pytest.raises(PrecisionExhaustedError) as caught:
-            f.derivative_at(0, t)
-        assert time.perf_counter() - start < 2
-        assert str(caught.value) == f"{f.label} at {text} leaves the decimal exponent range"
+        outcome = timed_outcome(f, t)
+        if isinstance(text, int):
+            assert is_log_of_power_of_ten(outcome, text)
+        else:
+            assert outcome == f"exp at {text} has a value of more than 3321928 bits"
 
     @pytest.mark.parametrize("f", [sin_fn(), cos_fn()], ids=("sin", "cos"))
     @pytest.mark.parametrize(
@@ -458,7 +466,7 @@ class TestTranscendental:
 
     @pytest.mark.parametrize(
         "make, counted",
-        [(sin_fn, "_decimal_sin_cos"), (cos_fn, "_decimal_sin_cos"), (exp_fn, "_to_decimal")],
+        [(sin_fn, "_sin_cycle"), (cos_fn, "_sin_cycle"), (exp_fn, "_exp")],
         ids=("sin", "cos", "exp"),
     )
     def test_one_decimal_value_per_point(self, monkeypatch, make, counted):
@@ -527,43 +535,14 @@ class TestTranscendental:
 # ----------------------------------------------------------------------
 # references for deleted oracle code
 #
-# ``cos_fn`` once had its own derivative cycle, ``power_fn`` its own
-# falling-factorial loop and ``_decimal_sin_cos`` one Taylor loop each for
-# sin and cos; all are kept here verbatim, and the library must return the
-# same value or raise the same exception type.
+# ``cos_fn`` once had its own derivative cycle and ``power_fn`` its own
+# falling-factorial loop; both are kept here verbatim, and the library must
+# return the same value or raise the same exception type.
 
 
 def reference_cos_oracle(k: int, t: Fraction) -> Fraction:
-    sin_t, cos_t = map(Fraction, _decimal_sin_cos(t))
+    sin_t, cos_t = _sin_cycle(t)[:2]
     return (cos_t, -sin_t, -cos_t, sin_t)[k % 4]
-
-
-def reference_decimal_sin_cos(t: Fraction):
-    with localcontext() as ctx:
-        ctx.prec = DECIMAL_DIGITS + 12
-        x = _to_decimal(t) if abs(t) <= 3 else _reduce_mod_2pi(t)
-        xx = x * x
-
-        i, last, sin_acc, fact, num, sign = 1, 0, x, 1, x, 1
-        while sin_acc != last:
-            last = sin_acc
-            i += 2
-            fact *= i * (i - 1)
-            num *= xx
-            sign *= -1
-            sin_acc += num / fact * sign
-
-        i, last, cos_acc, fact, num, sign = 0, 0, Decimal(1), 1, 1, 1
-        while cos_acc != last:
-            last = cos_acc
-            i += 2
-            fact *= i * (i - 1)
-            num *= xx
-            sign *= -1
-            cos_acc += num / fact * sign
-
-        ctx.prec = DECIMAL_DIGITS
-        return +sin_acc, +cos_acc
 
 
 def reference_power_oracle(alpha):
@@ -605,14 +584,6 @@ def test_cos_is_shifted_sin(k, t):
 
 
 @reference
-@given(t=st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6)))
-@example(t=Fraction(3))  # the last point summed without reduction
-@example(t=Fraction(0))
-def test_sin_cos_digits_match_the_two_loop_sum(t):
-    assert str(_decimal_sin_cos(t)) == str(reference_decimal_sin_cos(t))
-
-
-@reference
 @given(alpha=exponents, k=st.integers(0, 10), t=power_points)
 @example(alpha=Fraction(2), k=5, t=Fraction(3))  # polynomial path, past the degree
 @example(alpha=Fraction(-1), k=2, t=Fraction(0))  # pole
@@ -624,41 +595,57 @@ def test_power_oracle_matches_falling_factorial(alpha, k, t):
     )
 
 
-def decimal_outcome(compute):
-    try:
-        return compute()
-    except (Overflow, Underflow) as exc:
-        return type(exc)
-
-
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(
-    num=st.integers(-(10**70), 10**70),
-    den=st.integers(1, 10**70),
-    shift=st.integers(-1100, 1100),
-    prec=st.sampled_from([28, 60, 62, 75, 200]),
-    trap=st.booleans(),
-)
-@example(num=1, den=2, shift=0, prec=60, trap=True)  # exact
-@example(num=-25, den=10, shift=0, prec=1, trap=True)  # a tie, rounded to even
-@example(num=0, den=7, shift=-1000, prec=60, trap=True)
-@example(num=1, den=1, shift=-1058, prec=60, trap=True)  # subnormal but exact
-@example(num=1, den=3, shift=-1058, prec=60, trap=True)  # subnormal and inexact
-@example(num=9, den=1, shift=999, prec=60, trap=True)  # overflows
-def test_decimal_quotient_matches_decimal_division(num, den, shift, prec, trap):
-    # Near the edges of a context whose exponent range is 10^+-999, where
-    # dividing the converted integers is still cheap.
-    if shift >= 0:
-        num *= 10**shift
-    else:
-        den *= 10**-shift
-    with localcontext() as ctx:
-        ctx.prec, ctx.Emax, ctx.Emin = prec, 999, -999
-        ctx.traps[Underflow] = trap
-        expected = decimal_outcome(lambda: Decimal(num) / Decimal(den))
-        assert decimal_outcome(lambda: _decimal_quotient(num, den)) == expected
-
-
 def test_exp_at_zero_and_log_at_one_are_exact():
     assert [exp_fn().derivative_at(k, Fraction(0)) for k in range(3)] == [1, 1, 1]
     assert log_fn().derivative_at(0, Fraction(1)) == 0
+
+
+# ----------------------------------------------------------------------
+# enclosure of the transcendental values
+#
+# Each of exp, log, sin and cos must lie within 2^-170 of its value,
+# relative to its size, at points that stress each step: small rationals,
+# points within 10^-60 or less of a multiple k pi/2 (drawn as k and the
+# digits of the distance), of 1 (for log), points with 1,000-digit
+# numerators, and tiny points.  mpmath computes the reference with 800
+# bits beyond the point's integer part.  exp must refuse exactly the points
+# beyond 2302585, where its value would pass the size limit.
+
+POINTS = st.one_of(
+    st.builds(Fraction, st.integers(-(10**4), 10**4), st.integers(1, 100)),
+    st.tuples(st.integers(-(10**6), 10**6), st.integers(60, 100)),
+    st.builds(lambda n, d: 1 + Fraction(n, 10**d), st.integers(1, 10**6), st.integers(66, 100)),
+    st.builds(lambda n, d: 1 - Fraction(n, 10**d), st.integers(1, 10**6), st.integers(66, 100)),
+    st.builds(Fraction, st.integers(10**999, 10**1000), st.integers(1, 10**1000)),
+    st.builds(lambda n, d: Fraction(n, 10**d), st.integers(-999, 999), st.integers(100, 1000)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(point=POINTS)
+@example(point=(1, 100))  # cos within 10^-100 of 0
+@example(point=Fraction(2302585))  # exp of the largest integer point it takes
+def test_transcendental_values_lie_within_two_to_the_minus_170(point):
+    mpmath = pytest.importorskip("mpmath")
+    if isinstance(point, tuple):
+        k, digits = point
+        with mpmath.workprec(800):
+            point = Fraction(int(mpmath.nint(k * mpmath.pi / 2 * 10**digits)), 10**digits)
+    bits = point.numerator.bit_length() - point.denominator.bit_length()
+    with mpmath.workprec(max(bits, 0) + 800):
+        x = mpmath.mpf(point.numerator) / point.denominator
+        cases = [(sin_fn(), mpmath.sin), (cos_fn(), mpmath.cos)]
+        if abs(point) <= 2302585:
+            cases.append((exp_fn(), mpmath.exp))
+        else:
+            with pytest.raises(PrecisionExhaustedError):
+                exp_fn().derivative_at(0, point)
+        if point > 0:
+            cases.append((log_fn(), mpmath.log))
+        for f, reference in cases:
+            value, exact = f.derivative_at(0, point), reference(x)
+            # mpf() of an int drops its trailing zero bits slowly: shift them out.
+            n, d = value.numerator, value.denominator
+            zeros_n, zeros_d = (n & -n).bit_length() - 1 if n else 0, (d & -d).bit_length() - 1
+            approx = mpmath.ldexp(mpmath.mpf(n >> zeros_n) / (d >> zeros_d), zeros_n - zeros_d)
+            assert abs(approx - exact) <= abs(exact) * mpmath.mpf(2) ** -170, (f.label, point)

@@ -11,6 +11,7 @@ from omegafield import (
     IrrationalLeadingCoefficientError,
     NegativeBaseError,
     OmegaNumber,
+    PrecisionExhaustedError,
     as_rational,
     omega,
     rational_pow,
@@ -86,6 +87,27 @@ class TestReaders:
         with pytest.raises(TypeError, match="^expected an exact rational, got "):
             read(value)
 
+    @pytest.mark.parametrize(
+        "read, data, error",
+        [
+            (OmegaNumber.from_json, {"kind": "omega", "coeffs": {"\u0663": "1/1"}}, ValueError),
+            (OmegaNumber.from_json, {"kind": "omega", "coeffs": {"1_0": "2"}}, ValueError),
+            (OmegaNumber.from_json, {"kind": "omega", "coeffs": {"1/2": "1"}}, ValueError),
+            (CoeffTable.from_json,
+             {"kind": "coeff_table", "direction": "d_to_D", "cutoff": 2.7, "rows": [[1]]},
+             TypeError),
+        ],
+        ids=["non-ascii-exponent", "underscore-exponent", "fractional-exponent", "float-cutoff"],
+    )
+    def test_integers_in_json_are_strict(self, read, data, error):
+        # int() would read "\u0663" as 3, "1_0" as 10 and 2.7 as 2.
+        with pytest.raises(error):
+            read(data)
+
+    def test_integers_in_json_read_as_written(self):
+        value = OmegaNumber.from_json({"kind": "omega", "coeffs": {"3": "1/1", "-10": "2"}})
+        assert value == OmegaNumber([(3, 1), (-10, 2)])
+
     def test_integer_power_refuses_a_bool(self):
         with pytest.raises(TypeError, match="^use pow_alpha for non-integer exponents$"):
             ONE ** True
@@ -144,6 +166,20 @@ class TestRationalPow:
             rational_pow(Fraction(2), Fraction(1, 10**12))
         with pytest.raises(IrrationalLeadingCoefficientError):
             rational_pow(Fraction(1, 3), Fraction(1, 10**12))
+
+    def test_power_beyond_the_size_limit_refused_at_once(self):
+        # 4^(99999999999/2) would have about 2*10^11 bits.
+        with pytest.raises(
+            PrecisionExhaustedError,
+            match="^power 99999999999/2 of a 3-bit base has more than 3321928 bits$",
+        ):
+            rational_pow(Fraction(4), Fraction(99999999999, 2))
+        with pytest.raises(PrecisionExhaustedError):
+            rational_pow(Fraction(1, 4), Fraction(-(10**7)))
+        with pytest.raises(PrecisionExhaustedError):
+            rational_pow(Fraction(2), Fraction(3321929))
+        assert rational_pow(Fraction(2), Fraction(3321928)) == 2**3321928
+        assert rational_pow(Fraction(4), Fraction(30001, 2)) == 2**30001
 
     def test_large_perfect_powers(self):
         base = Fraction(12345**6, 7**12)
