@@ -306,6 +306,7 @@ def _taylor(x: int, w: int, i: int, step: int, sign: int) -> int:
     return total
 
 
+@lru_cache(maxsize=16)
 def _pi(w: int) -> int:
     """pi = 16 atan(1/5) - 4 atan(1/239) at w bits, within 2 units: at
     g = bit_length(w) + 5 more bits the sums err by < 40((w + g)/3 + 2) < 2**g."""
@@ -313,17 +314,24 @@ def _pi(w: int) -> int:
     return 4 * (4 * _arc(1, 5, w + g, -1) - _arc(1, 239, w + g, -1)) >> g
 
 
+@lru_cache(maxsize=16)
+def _ln2(w: int) -> int:
+    """log 2 = 2 atanh(1/3) at w bits, within 2 units as pi is."""
+    g = w.bit_length() + 5
+    return 2 * _arc(1, 3, w + g, 1) >> g
+
+
 def _exp(t: Fraction) -> Fraction:
     """exp(t) = 2**n exp(r), n nearest t / log 2; a |t| whose value passes
     the size limit is refused.  At w + 32 bits t floors within 1 unit and
-    log 2 = 2 atanh(1/3) within 2**9, so n log 2 (|n| < 2**22) errs by
-    < 2**31 and r (|r| < 0.35), shifted to w bits, by < 2 units.  The sum
-    (N <= w + 3) errs by < 2w + 8 units, r's error adds < 2.9, and exp(r) >
-    0.7: the error is below 1.43 (2w + 11) 2**-w of the value."""
+    log 2 within 2, so n log 2 (|n| < 2**22) errs by < 2**23 and r (|r| <
+    0.35), shifted to w bits, by < 2 units.  The sum (N <= w + 3) errs by
+    < 2w + 8 units, r's error adds < 2.9, and exp(r) > 0.7: the error is
+    below 1.43 (2w + 11) 2**-w of the value."""
     if abs(t) > int(_VALUE_LIMIT_BITS * log(2)):
         raise _PointOutOfRange(f"has a value of more than {_VALUE_LIMIT_BITS} bits")
     w = VALUE_BITS + _GUARD
-    ln2, x = 2 * _arc(1, 3, w + 32, 1), (t.numerator << w + 32) // t.denominator
+    ln2, x = _ln2(w + 32), (t.numerator << w + 32) // t.denominator
     n = (2 * x + ln2) // (2 * ln2)
     x -= n * ln2
     return Fraction(2) ** (n - w) * _taylor(abs(x) >> 32, w, 0, 1, 1 if x >= 0 else -1)
@@ -332,8 +340,8 @@ def _exp(t: Fraction) -> Fraction:
 def _log(t: Fraction) -> Fraction:
     """log t = e log 2 + 2 atanh(y), t = 2**e m, m in [2/3, 4/3], y = (m - 1)
     / (m + 1) in [-1/5, 1/7].  Flooring y costs < 2.1 units, the doubled sum
-    < 4(N + 1), e log 2 < 2 (summed at 10 + bit_length(e) more bits, within
-    2**9 units there).  For e != 0, |log t| > 0.28 and N <= w/3 + 1:
+    < 4(N + 1), e log 2 < 2 (log 2 at 10 + bit_length(e) more bits, within
+    2 units there).  For e != 0, |log t| > 0.28 and N <= w/3 + 1:
     below 3.6 (4w/3 + 13) 2**-w of the value.  For e = 0 the sum takes w'
     bits, one more than y has leading zeros beyond w, so |log t| >= 2|y| >
     2**(w + 1 - w') and N <= (w + 2)/3 + 1: below (4w/3 + 13) 2**(-w - 1)."""
@@ -346,7 +354,7 @@ def _log(t: Fraction) -> Fraction:
     w = VALUE_BITS + _GUARD + (0 if e else (a + c).bit_length() - abs(a - c).bit_length() + 1)
     atanh = 2 * _arc((abs(a - c) << w) // (a + c), 1 << w, w, 1)
     shift = e.bit_length() + 10
-    total = (e * 2 * _arc(1, 3, w + shift, 1) >> shift if e else 0) + (atanh if a >= c else -atanh)
+    total = (e * _ln2(w + shift) >> shift if e else 0) + (atanh if a >= c else -atanh)
     return Fraction(total, 1 << w)
 
 
@@ -354,27 +362,33 @@ def _sin_cycle(t: Fraction) -> tuple:
     """(sin t, cos t, -sin t, -cos t), from t = k pi/2 + r with k nearest
     2t/pi and |r| <= pi/4; a |t| of more than _SIN_COS_DIGITS integer digits
     is refused, by bit length first.  At u = v + max(b, 0) + 2 bits, where
-    |t| < 2**(b + 1), t floors within 1 unit and k pi/2 within 2|k|, so r
-    errs by < 2.2 units at v.  v starts at w + 4 and grows until r >=
-    2**(w - v) (t = 0 sums exactly); then r < 2**(w - v + 4).  sin r >= 0.9r,
-    and its sum (N <= w + 6) errs by < 2w + 17 units with r's error: below
-    1.12 (2w + 17) 2**-w of it.  cos r >= 0.7, and its sum (N <= v + 3) errs
-    by < 2v + 11 units: below 1.43 (2w + 11) 2**-w of it, as v >= w."""
+    2**(b - 1) < |t| < 2**(b + 1), t floors within 1 unit and k pi/2 within
+    2|k|, so r errs by < 2.2 units at v; for b < -1, |t| < 1/2 gives k = 0
+    and no pi is summed.  v starts at w + 4 + max(-b - 1, 0), which serves
+    every b < 0, doubles while r < 4 units and else moves to give r w + 2
+    bits, until 2**w <= r < 2**(w + 4) units (t = 0 sums exactly).  sin r
+    >= 0.9r, and its sum (N <= w + 6) errs by < 2w + 17 units with r's
+    error: below 1.12 (2w + 17) 2**-w of it.  cos r >= 0.7, and its sum (N
+    <= v + 3) errs by < 2v + 11 units: below 1.43 (2w + 11) 2**-w of it, as
+    v >= w."""
     bits = _bits(t)
     if bits >= int(_SIN_COS_DIGITS * log2(10)) and abs(t) >= 10**_SIN_COS_DIGITS:
         raise _PointOutOfRange(
             f"has more than {_SIN_COS_DIGITS} integer digits to reduce modulo 2*pi"
         )
-    w, v = VALUE_BITS + _GUARD, VALUE_BITS + _GUARD + 4
+    w = VALUE_BITS + _GUARD
+    v = w + 4 + max(-bits - 1, 0)
     while True:
         u = v + max(bits, 0) + 2
-        half_pi, x = _pi(u - 1), (t.numerator << u) // t.denominator
-        k = (2 * x + half_pi) // (2 * half_pi)
-        x -= k * half_pi
+        x, k = (t.numerator << u) // t.denominator, 0
+        if bits > -2:
+            half_pi = _pi(u - 1)
+            k = (2 * x + half_pi) // (2 * half_pi)
+            x -= k * half_pi
         r = abs(x) >> u - v
-        if r >> w or t == 0:
+        if w < r.bit_length() <= w + 4 or t == 0:
             break
-        v += w - r.bit_length() + 2
+        v += w + 2 - r.bit_length() if r >> 2 else v
     sin_r, cos_r = (1 if x >= 0 else -1) * _taylor(r, v, 1, 2, -1), _taylor(r, v, 0, 2, -1)
     cycle = tuple(Fraction(n, 1 << v) for n in (sin_r, cos_r, -sin_r, -cos_r))
     return cycle[k % 4 :] + cycle[: k % 4]

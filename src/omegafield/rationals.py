@@ -143,19 +143,20 @@ def rational_pow(base: Fraction, exponent: Fraction) -> Fraction:
 
     Raises NegativeBaseError for a non-integer power of a negative base
     and IrrationalLeadingCoefficientError when no exact rational root
-    exists.  A power p/q of an n-bit base has at least (n - 1)|p|/q bits;
-    past the size limit it raises PrecisionExhaustedError before building
-    anything.
+    exists.  A power p/q, |p| > q, of an n-bit base has at least (n - 1)
+    |p|/q bits; past the size limit it raises PrecisionExhaustedError
+    before building anything.
     """
     base = as_rational(base)
     exponent = as_rational(exponent)
     size = max(base.numerator.bit_length(), base.denominator.bit_length())
-    if abs(exponent.numerator) * (size - 1) > _VALUE_LIMIT_BITS * exponent.denominator:
+    p, q = abs(exponent.numerator), exponent.denominator
+    if p > q and p * (size - 1) > _VALUE_LIMIT_BITS * q:
         raise PrecisionExhaustedError(
             f"power {format_rational(exponent)} of a {size}-bit base has more than "
             f"{_VALUE_LIMIT_BITS} bits"
         )
-    if exponent.denominator == 1:
+    if q == 1:
         return base ** int(exponent)
     if base < 0:
         raise NegativeBaseError(
@@ -166,7 +167,6 @@ def rational_pow(base: Fraction, exponent: Fraction) -> Fraction:
         if exponent > 0:
             return Fraction(0)
         raise DivisionByZeroError("zero base with negative exponent")
-    q = exponent.denominator
     root_num = _int_nth_root(base.numerator, q)
     root_den = _int_nth_root(base.denominator, q)
     if root_num is None or root_den is None:

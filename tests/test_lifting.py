@@ -431,6 +431,19 @@ class TestTranscendental:
         assert time.perf_counter() - start < 2
         assert value == 1  # e^(10^-1000000) to 170 bits
 
+    def test_sin_cos_at_a_tiny_point_sum_at_once(self):
+        # |t| < 1/2 needs no reduction, so no pi is summed at 3.3 million bits.
+        t = Fraction(-1, 10**1000000)
+        start = time.perf_counter()
+        sine, cosine = sin_fn().derivative_at(0, t), cos_fn().derivative_at(0, t)
+        assert time.perf_counter() - start < 2
+        # sin t = t - t^3/6 + ... and cos t = 1 - t^2/2 + ... within 2^-170,
+        # checked on integers: a Fraction difference would take a long gcd.
+        n, d = sine.numerator, sine.denominator
+        assert abs(n * 10**1000000 + d) << 170 <= d
+        n, d = cosine.numerator, cosine.denominator
+        assert abs(n - d) << 170 <= d
+
     @pytest.mark.parametrize(
         "f, t, text",
         [
@@ -598,6 +611,64 @@ def test_power_oracle_matches_falling_factorial(alpha, k, t):
 def test_exp_at_zero_and_log_at_one_are_exact():
     assert [exp_fn().derivative_at(k, Fraction(0)) for k in range(3)] == [1, 1, 1]
     assert log_fn().derivative_at(0, Fraction(1)) == 0
+
+
+# Identities that hold exactly for the true values hold within a few times
+# 2^-170 for the summed ones, in exact rationals and without a reference.
+IDENTITY_POINTS = [
+    Fraction(1, 10),
+    Fraction(-7, 3),
+    Fraction(355, 113),  # within 3 * 10^-7 of pi
+    Fraction(884279719003555, 281474976710656),  # pi to 48 bits
+    Fraction(1, 10**40),
+    Fraction(10**30 + 7),
+    Fraction(-2302585),
+]
+EPS = Fraction(1, 2**170)
+
+
+@pytest.mark.parametrize("t", IDENTITY_POINTS, ids=str)
+def test_sin_squared_plus_cos_squared_is_one(t):
+    sine, cosine = sin_fn().derivative_at(0, t), cos_fn().derivative_at(0, t)
+    assert abs(sine**2 + cosine**2 - 1) <= 3 * EPS
+
+
+@pytest.mark.parametrize("t", [p for p in IDENTITY_POINTS if abs(p) <= 2302585], ids=str)
+def test_exp_of_t_times_exp_of_minus_t_is_one(t):
+    product = exp_fn().derivative_at(0, t) * exp_fn().derivative_at(0, -t)
+    assert abs(product - 1) <= 3 * EPS
+
+
+@pytest.mark.parametrize(
+    "t", [p for p in IDENTITY_POINTS if abs(p) <= 10**4] + [Fraction(1, 10**70)], ids=str
+)
+def test_log_of_exp_is_the_point(t):
+    # exp errs by 2^-170 of itself, which log turns into 2^-170 absolute.
+    value = log_fn().derivative_at(0, exp_fn().derivative_at(0, t))
+    assert abs(value - t) <= (1 + abs(t)) * 3 * EPS
+
+
+@pytest.mark.parametrize("power", [1, 2, -3, 60, 1000, -100000])
+def test_log_of_a_power_of_ten_is_that_multiple_of_log_ten(power):
+    assert is_log_of_power_of_ten(log_fn().derivative_at(0, Fraction(10) ** power), power)
+
+
+def test_cos_near_a_zero_doubles_its_bits_until_the_distance_shows():
+    # cos t = pi/2 - t within (pi/2 - t)^3 for t within 10^-6000 of pi/2.
+    half_pi = Fraction(lifting._pi(24000), 2**24001)  # within 2^-23999 of pi/2
+    t = Fraction(round(half_pi * 10**6000), 10**6000)
+    start = time.perf_counter()
+    value = cos_fn().derivative_at(0, t)
+    assert time.perf_counter() - start < 1
+    distance = half_pi - t
+    assert abs(value - distance) <= abs(distance) * 2 * EPS
+
+
+def test_log_near_one_keeps_its_relative_bound():
+    # log(1 + h) = h - h^2/2 + ..., summed at the extra bits h needs.
+    h = Fraction(1, 10**60)
+    value = log_fn().derivative_at(0, 1 + h)
+    assert abs(value - (h - h**2 / 2)) <= h * 2 * EPS
 
 
 # ----------------------------------------------------------------------

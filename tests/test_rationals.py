@@ -181,6 +181,13 @@ class TestRationalPow:
         assert rational_pow(Fraction(2), Fraction(3321928)) == 2**3321928
         assert rational_pow(Fraction(4), Fraction(30001, 2)) == 2**30001
 
+    def test_power_that_cannot_grow_the_base_passes_the_limit(self):
+        # Only |p| > q can grow a base: 1/x and x keep a base past the limit.
+        big = Fraction(2**3321930, 3)
+        assert rational_pow(big, Fraction(-1)) == 1 / big
+        assert rational_pow(big, Fraction(1)) == big
+        assert (1 / omega(big)).standard_part() == 1 / big
+
     def test_large_perfect_powers(self):
         base = Fraction(12345**6, 7**12)
         assert rational_pow(base, Fraction(1, 6)) == Fraction(12345, 49)
